@@ -67,7 +67,7 @@ let run ?(pool = Pool.serial) ?engine ?backing ?(detectors_enabled = true)
       (Some synth, coverages)
     end
   in
-  let select = Select.build ?max_detectors valuation coverages in
+  let select = Select.build ~pool ?max_detectors valuation coverages in
   let target_value =
     int_of_float (ceil (target *. float_of_int select.Select.t_total_value))
   in

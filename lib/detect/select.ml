@@ -2,6 +2,7 @@ module Site = Ff_inject.Site
 module Eqclass = Ff_inject.Eqclass
 module Valuation = Fastflip.Valuation
 module Knapsack = Fastflip.Knapsack
+module Pool = Ff_support.Pool
 module Telemetry = Ff_support.Telemetry
 
 let m_candidates = Telemetry.counter "detect.select.candidates"
@@ -61,7 +62,7 @@ let subset_base classes detectors ~mask =
     classes;
   (!base_value, !base_cost)
 
-let build ?(max_detectors = 8) (valuation : Valuation.t) coverages =
+let build ?(pool = Pool.serial) ?(max_detectors = 8) (valuation : Valuation.t) coverages =
   Telemetry.span "detect.select" @@ fun () ->
   if max_detectors < 0 || max_detectors > 16 then
     invalid_arg "Select.build: max_detectors must be in [0, 16]";
@@ -109,48 +110,45 @@ let build ?(max_detectors = 8) (valuation : Valuation.t) coverages =
   in
   let n = Array.length detectors in
   let pure = Knapsack.solve items in
-  (* every subset's residual frontier competes in one global filter *)
-  let candidates = ref [] in
-  for mask = 0 to (1 lsl n) - 1 do
-    let base_value, base_cost = subset_base classes detectors ~mask in
-    let solution =
-      if mask = 0 then pure else Knapsack.solve (adjusted_items items classes ~mask)
-    in
-    List.iter
-      (fun (v, c) ->
-        candidates :=
-          {
-            p_value = base_value + v;
-            p_cost = base_cost + c;
-            p_mask = mask;
-            p_dup_value = v;
-          }
-          :: !candidates)
-      (Knapsack.points solution)
-  done;
-  (* Pareto: cost ascending; keep strictly improving value. Ties prefer
-     higher value, then fewer detectors, then lower mask, then smaller
-     residual target — a total order, so the front is deterministic. *)
-  let sorted =
-    List.sort
-      (fun a b ->
-        if a.p_cost <> b.p_cost then compare a.p_cost b.p_cost
-        else if a.p_value <> b.p_value then compare b.p_value a.p_value
-        else if popcount a.p_mask <> popcount b.p_mask then
-          compare (popcount a.p_mask) (popcount b.p_mask)
-        else if a.p_mask <> b.p_mask then compare a.p_mask b.p_mask
-        else compare a.p_dup_value b.p_dup_value)
-      !candidates
+  (* each subset's residual frontier, points only, in mask order *)
+  let frontiers =
+    Pool.map_array pool
+      (fun mask ->
+        if mask = 0 then Knapsack.points pure
+        else Knapsack.frontier (adjusted_items items classes ~mask))
+      (Array.init (1 lsl n) Fun.id)
   in
+  (* Pareto merge in one pass over cost. At each cost only the first
+     candidate in a total order can join the front: higher value, then
+     fewer detectors, then lower mask, then smaller residual target. *)
+  let rank p = (-p.p_value, popcount p.p_mask, p.p_mask, p.p_dup_value) in
+  let max_cost =
+    Array.fold_left (fun acc (d : Detector.t) -> acc + d.Detector.d_cost) 0 detectors
+    + List.fold_left (fun acc (it : Knapsack.item) -> acc + it.Knapsack.cost) 0 items
+  in
+  let at_cost = Array.make (max_cost + 1) None in
+  Array.iteri
+    (fun mask points ->
+      let base_value, base_cost = subset_base classes detectors ~mask in
+      List.iter
+        (fun (v, c) ->
+          let p =
+            { p_value = base_value + v; p_cost = base_cost + c; p_mask = mask; p_dup_value = v }
+          in
+          match at_cost.(p.p_cost) with
+          | Some q when compare (rank q) (rank p) <= 0 -> ()
+          | _ -> at_cost.(p.p_cost) <- Some p)
+        points)
+    frontiers;
   let front = ref [] in
   let best = ref (-1) in
-  List.iter
-    (fun p ->
-      if p.p_value > !best then begin
+  Array.iter
+    (function
+      | Some p when p.p_value > !best ->
         best := p.p_value;
         front := p :: !front
-      end)
-    sorted;
+      | _ -> ())
+    at_cost;
   let front = Array.of_list (List.rev !front) in
   Telemetry.add m_candidates n;
   Telemetry.add m_subsets (1 lsl n);

@@ -15,8 +15,12 @@
     (value, cost) frontier point of every subset competes in one global
     Pareto filter. The empty subset's frontier {e is} the pure-
     duplication frontier, so with detectors disabled the mixed answer
-    degenerates to the paper's knapsack exactly. Fully deterministic:
-    no randomness, no pool. *)
+    degenerates to the paper's knapsack exactly. Each subset needs only
+    its points ({!Fastflip.Knapsack.frontier}, no take table); the
+    subsets fan out over a pool and are merged in mask order, and only
+    the subset a selection lands on is re-solved with take bits. Fully
+    deterministic: no randomness, and the same result at any pool
+    width. *)
 
 type point = {
   p_value : int;  (** protected SDC-Bad sites (detector-covered + duplicated) *)
@@ -39,6 +43,7 @@ type t = {
 }
 
 val build :
+  ?pool:Ff_support.Pool.t ->
   ?max_detectors:int ->
   Fastflip.Valuation.t ->
   Coverage.t list ->
@@ -47,7 +52,8 @@ val build :
     measurements (any order; sections without measurements simply
     contribute no detectors). Candidates are ranked by sites covered
     (ties: section, then local index) and capped at [max_detectors]
-    (default 8, hard limit 16 — subset enumeration is 2^n). *)
+    (default 8, hard limit 16 — subset enumeration is 2^n). The subset
+    frontiers run on [pool] (default {!Ff_support.Pool.serial}). *)
 
 type selection = {
   sel_detectors : Detector.t array;

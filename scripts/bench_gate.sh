@@ -32,7 +32,8 @@
 #                        false-positive fires, and on at least one
 #                        benchmark the mixed detector+duplication plan
 #                        reaches the protection target at strictly lower
-#                        cost than pure duplication
+#                        cost than pure duplication; every serial protect
+#                        run ("serial_s") within a wall-clock ceiling
 #
 # Prints one readable line per violation and exits nonzero if any check
 # fails.
@@ -187,6 +188,16 @@ gate_detect() {
   # duplication.
   if ! grep -q '"detector_win": true' "$f"; then
     violation "$f: detectors never beat pure duplication at the target on any benchmark"
+  fi
+  # Subset selection solves 2^n knapsacks over the cost axis: the slowest
+  # serial protect run (Campipe) takes ~0.7 s, and ~13-22 s with the
+  # value-indexed DP, so the ceiling sits between with ~6x headroom.
+  worst=$(sed -n 's/.*"serial_s"[[:space:]]*:[[:space:]]*\([0-9][0-9.eE+-]*\).*/\1/p' "$f" |
+    sort -g | tail -n 1)
+  if [ -z "$worst" ]; then
+    violation "$f: malformed, no numeric \"serial_s\""
+  elif ! awk -v v="$worst" "BEGIN { exit !(v <= 4.0) }"; then
+    violation "$f: slowest serial protect run takes $worst s, ceiling is <= 4.0"
   fi
 }
 

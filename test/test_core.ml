@@ -64,6 +64,23 @@ let brute_force (items : Knapsack.item list) target =
   done;
   !best
 
+(* Brute force: the most value any subset reaches at cost <= budget. *)
+let brute_force_max_value (items : Knapsack.item list) budget =
+  let arr = Array.of_list items in
+  let best = ref 0 in
+  for mask = 0 to (1 lsl Array.length arr) - 1 do
+    let value = ref 0 and cost = ref 0 in
+    Array.iteri
+      (fun i (it : Knapsack.item) ->
+        if mask land (1 lsl i) <> 0 then begin
+          value := !value + it.Knapsack.value;
+          cost := !cost + it.Knapsack.cost
+        end)
+      arr;
+    if !cost <= budget then best := max !best !value
+  done;
+  !best
+
 let gen_items =
   QCheck2.Gen.(
     list_size (int_range 1 10)
@@ -112,6 +129,90 @@ let prop_knapsack_cost_monotone =
         | _ -> true
       in
       ascending costs)
+
+let test_knapsack_rejects_free_items () =
+  Alcotest.check_raises "valued item with cost 0"
+    (Invalid_argument "Knapsack.solve: an item with positive value must cost at least 1")
+    (fun () -> ignore (Knapsack.solve [ item 0 0 3 2; item 0 1 4 0 ]));
+  Alcotest.check_raises "frontier rejects it too"
+    (Invalid_argument "Knapsack.solve: an item with positive value must cost at least 1")
+    (fun () -> ignore (Knapsack.frontier [ item 0 0 1 (-1) ]));
+  Alcotest.(check int) "a valueless free item is just ignored" 2
+    (Knapsack.select (Knapsack.solve [ item 0 0 0 0; item 0 1 5 2 ]) ~target:5)
+      .Knapsack.cost
+
+(* The value-indexed DP, kept as the oracle for the cost-indexed one:
+   dp.(v) is the min cost of value >= v, take.(i).(v) marks item i
+   improving it. Returns the (value, cost) frontier and a [select] that
+   yields the (cost, value) of one cheapest selection. *)
+let oracle (items : Knapsack.item list) =
+  let items =
+    List.filter (fun (it : Knapsack.item) -> it.Knapsack.value > 0) items
+    |> List.sort (fun (a : Knapsack.item) b -> Site.compare_pc a.Knapsack.pc b.Knapsack.pc)
+    |> Array.of_list
+  in
+  let total = Array.fold_left (fun acc (it : Knapsack.item) -> acc + it.Knapsack.value) 0 items in
+  let dp = Array.make (total + 1) max_int in
+  dp.(0) <- 0;
+  let take =
+    Array.map
+      (fun (it : Knapsack.item) ->
+        let row = Array.make (total + 1) false in
+        for v = total downto 1 do
+          let prev = dp.(max 0 (v - it.Knapsack.value)) in
+          if prev < max_int && prev + it.Knapsack.cost < dp.(v) then begin
+            dp.(v) <- prev + it.Knapsack.cost;
+            row.(v) <- true
+          end
+        done;
+        row)
+      items
+  in
+  let points =
+    (0, 0)
+    :: List.filter_map
+         (fun v -> if v = total || dp.(v) < dp.(v + 1) then Some (v, dp.(v)) else None)
+         (List.init total (fun v -> v + 1))
+  in
+  let select target =
+    let v = ref (min target total) and cost = ref 0 and value = ref 0 in
+    for i = Array.length items - 1 downto 0 do
+      if !v > 0 && take.(i).(!v) then begin
+        cost := !cost + items.(i).Knapsack.cost;
+        value := !value + items.(i).Knapsack.value;
+        v := max 0 (!v - items.(i).Knapsack.value)
+      end
+    done;
+    (!cost, !value)
+  in
+  (points, select, total)
+
+(* small value and cost ranges, so equal-cost and equal-value ties are
+   the common case rather than the exception *)
+let gen_tied_items =
+  QCheck2.Gen.(
+    map
+      (List.mapi (fun i (value, cost) -> { Knapsack.pc = pc (i mod 2) i; value; cost }))
+      (list_size (int_range 0 10) (pair (int_range 0 6) (int_range 1 5))))
+
+let prop_knapsack_matches_oracle =
+  QCheck2.Test.make ~count:300 ~name:"cost-indexed DP against the value-indexed oracle"
+    gen_tied_items (fun items ->
+      let sol = Knapsack.solve items in
+      let points, oracle_select, total = oracle items in
+      let valued = List.filter (fun (i : Knapsack.item) -> i.Knapsack.value > 0) items in
+      Knapsack.points sol = points
+      && Knapsack.frontier items = points
+      && List.for_all
+           (fun target ->
+             let sel = Knapsack.select sol ~target in
+             let cost, value = oracle_select target in
+             let best_cost = brute_force valued target in
+             sel.Knapsack.cost = cost
+             && sel.Knapsack.value >= value
+             && sel.Knapsack.cost = best_cost
+             && sel.Knapsack.value = brute_force_max_value valued best_cost)
+           (List.init (total + 1) Fun.id))
 
 (* --- pipeline on a small program ------------------------------------------- *)
 
@@ -636,6 +737,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_knapsack_optimal;
           QCheck_alcotest.to_alcotest prop_knapsack_selection_consistent;
           QCheck_alcotest.to_alcotest prop_knapsack_cost_monotone;
+          Alcotest.test_case "rejects free items" `Quick test_knapsack_rejects_free_items;
+          QCheck_alcotest.to_alcotest prop_knapsack_matches_oracle;
         ] );
       ( "pipeline",
         [

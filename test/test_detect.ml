@@ -77,6 +77,22 @@ let test_pool_width_identity () =
   Alcotest.(check string) "pareto JSON identical" (Protect.pareto_json serial)
     (Protect.pareto_json wide)
 
+let protected = lazy (protect ())
+
+let prop_select_pool_width =
+  QCheck2.Test.make ~count:20 ~name:"Select.build identical at pool widths 1 and 4"
+    QCheck2.Gen.(pair (int_range 0 8) (list_size (int_range 1 8) (int_bound 1000)))
+    (fun (max_detectors, permille) ->
+      let valuation = (Lazy.force analysis).Pipeline.valuation in
+      let coverages = (Lazy.force protected).Protect.r_coverages in
+      let build pool = Select.build ~pool ~max_detectors valuation coverages in
+      let serial = build Pool.serial in
+      let wide = Pool.with_pool ~domains:4 build in
+      let total = serial.Select.t_total_value in
+      let at s t = Select.selection_at s ~target:(t * total / 1000) in
+      serial.Select.t_front = wide.Select.t_front
+      && List.for_all (fun t -> at serial t = at wide t) permille)
+
 (* --- zero false positives ---------------------------------------------- *)
 
 let detectors_of (p : Protect.t) =
@@ -337,6 +353,7 @@ let () =
         [
           Alcotest.test_case "protect identical at pool widths 1 and 4" `Quick
             test_pool_width_identity;
+          QCheck_alcotest.to_alcotest prop_select_pool_width;
         ] );
       ( "false-positives",
         [
