@@ -7,10 +7,7 @@ module Hashing = Ff_support.Hashing
 
 (* --- primitive writers ------------------------------------------------------ *)
 
-let w_int64 buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
-  done
+let w_int64 buf v = Buffer.add_int64_le buf v
 
 let w_int buf v = w_int64 buf (Int64.of_int v)
 let w_float buf v = w_int64 buf (Int64.bits_of_float v)
@@ -42,12 +39,9 @@ let at_end c = c.pos = String.length c.data
 
 let r_int64 c =
   if c.pos + 8 > String.length c.data then raise (Corrupt "truncated int64");
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code c.data.[c.pos + i]))
-  done;
+  let v = String.get_int64_le c.data c.pos in
   c.pos <- c.pos + 8;
-  !v
+  v
 
 let r_int c = Int64.to_int (r_int64 c)
 let r_float c = Int64.float_of_bits (r_int64 c)
@@ -274,12 +268,7 @@ let frame payload =
 let add_frame buf payload = Buffer.add_string buf (frame payload)
 
 (* Little-endian int64 at a raw offset, as a (possibly truncated) int. *)
-let int_at data pos =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code data.[pos + i]))
-  done;
-  Int64.to_int !v
+let int_at data pos = Int64.to_int (String.get_int64_le data pos)
 
 let read_frames ?(pos = 0) data =
   let len = String.length data in

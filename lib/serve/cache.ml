@@ -3,9 +3,14 @@ module Telemetry = Ff_support.Telemetry
 let m_entries = Telemetry.counter "serve.cache.entries"
 let m_evictions = Telemetry.counter "serve.cache.evictions"
 
+type entry = {
+  analysis : Fastflip.Pipeline.analysis;
+  body : string;
+}
+
 type state =
   | Computing
-  | Ready of Fastflip.Pipeline.analysis
+  | Ready of entry
 
 type slot = {
   mutable state : state;
@@ -67,11 +72,11 @@ let find_or_compute t ~key ~compute =
   Mutex.lock t.mu;
   let rec claim waited =
     match Hashtbl.find_opt t.table key with
-    | Some ({ state = Ready a; _ } as slot) ->
+    | Some ({ state = Ready entry; _ } as slot) ->
       t.tick <- t.tick + 1;
       slot.last_used <- t.tick;
       Mutex.unlock t.mu;
-      (Ok a, if waited then Coalesced else Hit)
+      (Ok entry, if waited then Coalesced else Hit)
     | Some { state = Computing; _ } ->
       Condition.wait t.cond t.mu;
       claim true
@@ -88,9 +93,9 @@ let find_or_compute t ~key ~compute =
     let result = try Ok (compute ()) with e -> Error e in
     Mutex.lock t.mu;
     (match result with
-    | Ok a ->
+    | Ok entry ->
       t.tick <- t.tick + 1;
-      slot.state <- Ready a;
+      slot.state <- Ready entry;
       slot.last_used <- t.tick;
       Telemetry.incr m_entries;
       enforce_capacity t

@@ -1,14 +1,21 @@
 (** The daemon's warm-state cache: completed analyses keyed by
     [(program source, full config)] digest.
 
-    A cached {!Fastflip.Pipeline.analysis} transitively pins everything
+    An {!entry} holds the analysis and its rendered report [body].
+    The cached {!Fastflip.Pipeline.analysis} transitively pins everything
     expensive to rebuild: the golden run with its pre-decoded kernels
     (and hence the {!Ff_vm.Workspace} plans and prover recordings cached
     off the decoded form), the per-section campaign and sensitivity
-    records, the Chisel propagation, and the solved knapsack. A warm hit
-    therefore answers a repeat query with {e zero} decodes, replays, or
-    store lookups — only a fresh knapsack selection at the requested
-    target and a report render.
+    records, the Chisel propagation, and the solved knapsack. The body is
+    the target-independent part of the report ([Report.body]), rendered
+    once when the entry is computed. A warm hit therefore answers a
+    repeat query with {e zero} compiles, decodes, replays, store lookups
+    or table renders — only a knapsack selection at the requested target
+    and the short report tail for it.
+
+    The body lives and is evicted with its entry, never on its own: its
+    "sections reused" line records the store's state at the moment the
+    entry was computed, so it is only valid next to that analysis.
 
     Concurrent identical requests {e coalesce}: the first computes, the
     rest block on a condition variable and wake to the finished entry.
@@ -19,6 +26,11 @@
 
     Thread-safe; the compute callback runs {e outside} the cache lock, so
     distinct keys never serialize behind each other here. *)
+
+type entry = {
+  analysis : Fastflip.Pipeline.analysis;
+  body : string;  (** [Report.body analysis], rendered by [compute] *)
+}
 
 type t
 
@@ -36,11 +48,12 @@ type outcome =
 val find_or_compute :
   t ->
   key:int64 ->
-  compute:(unit -> Fastflip.Pipeline.analysis) ->
-  (Fastflip.Pipeline.analysis, exn) result * outcome
+  compute:(unit -> entry) ->
+  (entry, exn) result * outcome
 (** [compute] runs without the cache lock. A raising [compute] is not
-    cached: its exception is propagated to this caller and every
-    coalesced waiter, and the next request with the same key retries. *)
+    cached: its exception is returned to the caller that ran it, and
+    every waiter coalesced on it (and the next request with the same
+    key) retries the computation itself. *)
 
 val size : t -> int
 (** Completed entries currently held. *)

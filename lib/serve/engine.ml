@@ -16,6 +16,8 @@ let m_fast_path = Telemetry.counter "serve.fast_path"
 let m_slow_path = Telemetry.counter "serve.slow_path"
 let m_latency = Telemetry.histogram ~volatile:true "serve.latency_us"
 let m_warm_latency = Telemetry.histogram ~volatile:true "serve.warm_latency_us"
+let m_compiles = Telemetry.counter "serve.compiles"
+let m_render = Telemetry.histogram ~volatile:true "serve.render_us"
 
 let config_of ?(model = Ff_inject.Fault_model.default) ?safety_factor ~bits
     ~samples ~epsilon ~prove () =
@@ -71,6 +73,7 @@ let create ?(cache_capacity = 32) ?(store = Store.create ()) ?(pool = Pool.seria
   }
 
 let store t = t.e_store
+let cached t = Cache.size t.cache
 
 let locked mu f =
   Mutex.lock mu;
@@ -90,23 +93,34 @@ let backing t =
 let save ?known_generation ?shards t ~path =
   locked t.store_mu (fun () -> Persist.save ?known_generation ?shards t.e_store ~path)
 
+(* A compile error inside the cache's [compute]: never cached, carries
+   the rendered [Frontend.pp_error] text back to the caller. *)
+exception Compile_error of string
+
 let analyze t ~source (query : Protocol.query) =
   let t0 = Telemetry.now_ns () in
-  match Ff_lang.Frontend.compile source with
-  | Error e -> Error (Format.asprintf "%a" Ff_lang.Frontend.pp_error e)
-  | Ok program -> (
-    let config = config_of_query query in
-    let key = cache_key ~source config in
-    let compute () =
-      (* Admission control: derive the replay-free state, then classify
-         the request before it may touch the campaign lane. *)
-      let prepared = Pipeline.prepare config program in
-      let covered =
-        locked t.store_mu (fun () ->
-            Array.for_all
-              (fun k -> Store.peek t.e_store k <> None)
-              prepared.Pipeline.p_keys)
-      in
+  (* The key needs only the source text and the config, so a warm hit
+     is answered before (and without) compiling. *)
+  let config = config_of_query query in
+  let key = cache_key ~source config in
+  let compute () =
+    Telemetry.incr m_compiles;
+    let program =
+      match Ff_lang.Frontend.compile source with
+      | Ok program -> program
+      | Error e ->
+        raise (Compile_error (Format.asprintf "%a" Ff_lang.Frontend.pp_error e))
+    in
+    (* Admission control: derive the replay-free state, then classify
+       the request before it may touch the campaign lane. *)
+    let prepared = Pipeline.prepare config program in
+    let covered =
+      locked t.store_mu (fun () ->
+          Array.for_all
+            (fun k -> Store.peek t.e_store k <> None)
+            prepared.Pipeline.p_keys)
+    in
+    let analysis =
       if covered then begin
         (* Pure store-lookup + knapsack: stays on this thread, never
            queues behind an injection-bound request. *)
@@ -120,18 +134,24 @@ let analyze t ~source (query : Protocol.query) =
               prepared)
       end
     in
-    match Cache.find_or_compute t.cache ~key ~compute with
-    | Ok a, outcome ->
-      let report = Report.analysis ~target:query.Protocol.q_target a in
-      (match outcome with
-      | Cache.Hit ->
-        Telemetry.incr m_warm_hits;
-        Telemetry.observe m_warm_latency ((Telemetry.now_ns () - t0) / 1000)
-      | Cache.Coalesced -> Telemetry.incr m_coalesced
-      | Cache.Miss -> Telemetry.incr m_cold);
-      Ok report
-    | Error (Failure msg), _ -> Error msg
-    | Error e, _ -> Error (Printexc.to_string e))
+    { Cache.analysis; body = Report.body analysis }
+  in
+  match Cache.find_or_compute t.cache ~key ~compute with
+  | Ok entry, outcome ->
+    let tail =
+      Telemetry.timed m_render (fun () ->
+          Report.selection ~target:query.Protocol.q_target entry.Cache.analysis)
+    in
+    let report = entry.Cache.body ^ tail in
+    (match outcome with
+    | Cache.Hit ->
+      Telemetry.incr m_warm_hits;
+      Telemetry.observe m_warm_latency ((Telemetry.now_ns () - t0) / 1000)
+    | Cache.Coalesced -> Telemetry.incr m_coalesced
+    | Cache.Miss -> Telemetry.incr m_cold);
+    Ok report
+  | Error (Compile_error msg | Failure msg), _ -> Error msg
+  | Error e, _ -> Error (Printexc.to_string e)
 
 let handle t (req : Protocol.request) : Protocol.response =
   Telemetry.incr m_requests;

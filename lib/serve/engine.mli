@@ -5,9 +5,11 @@
 
     {ol
     {- {b warm}: the [(source, config)] digest hits the {!Cache} — answer
-       with a fresh knapsack selection over the cached analysis. Zero
-       decodes, replays, or store lookups; never blocks behind anything
-       but the microseconds-scale cache lock.}
+       with the cached report body plus a fresh knapsack selection over
+       the cached analysis at the requested target. The digest is taken
+       from the source text, so a warm hit does not compile: zero
+       compiles, decodes, replays, store lookups or table renders; never
+       blocks behind anything but the microseconds-scale cache lock.}
     {- {b fast path}: cache miss, but after {!Fastflip.Pipeline.prepare}
        every section key is already in the shared store (probed with the
        uncounted {!Fastflip.Store.peek}). Pure store-lookup + knapsack
@@ -19,9 +21,18 @@
        other to serial pool fallbacks), while identical concurrent
        requests coalesce in the cache instead of queueing twice.}}
 
+    Only the cold tiers compile the source, inside the cache's compute
+    callback; a compile error is returned as [Protocol.Error] and never
+    cached.
+
     Results are bit-identical to the one-shot CLI: the same pipeline, the
-    same report renderer, and coalescing keeps the reuse accounting
-    independent of client count. *)
+    same report renderer ({!Report.analysis} is {!Report.body} followed by
+    {!Report.selection}), and coalescing keeps the reuse accounting
+    independent of client count.
+
+    Telemetry: [serve.compiles] counts compiles (deterministic; a warm
+    hit adds none), [serve.render_us] is the volatile per-request
+    duration of the selection tail. *)
 
 type t
 
@@ -36,6 +47,9 @@ val create :
     store, serial pool. *)
 
 val store : t -> Fastflip.Store.t
+
+val cached : t -> int
+(** Completed analyses currently held warm ({!Cache.size}). *)
 
 val save :
   ?known_generation:int64 ->

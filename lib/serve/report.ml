@@ -4,7 +4,7 @@ module Knapsack = Fastflip.Knapsack
 module Site = Ff_inject.Site
 module Table = Ff_support.Table
 
-let analysis ~target (a : Pipeline.analysis) =
+let body (a : Pipeline.analysis) =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "sections reused from the store: %d/%d\n" a.Pipeline.sections_reused
@@ -31,6 +31,11 @@ let analysis ~target (a : Pipeline.analysis) =
     a.Pipeline.valuation.Valuation.values;
   Buffer.add_string buf (Table.render t);
   Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+let selection ~target (a : Pipeline.analysis) =
+  let buf = Buffer.create 256 in
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let selection = Pipeline.select a ~target in
   add
     "\nknapsack selection for v_trgt = %.2f: %d instructions, cost %d dyn instrs (%.1f%% of trace)\n"
@@ -43,3 +48,5 @@ let analysis ~target (a : Pipeline.analysis) =
     (String.concat ", "
        (List.map (Format.asprintf "%a" Site.pp_pc) selection.Knapsack.pcs));
   Buffer.contents buf
+
+let analysis ~target a = body a ^ selection ~target a

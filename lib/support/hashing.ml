@@ -35,22 +35,55 @@ let combine a b =
 
 (* --- CRC-32 (IEEE 802.3, reflected) ---------------------------------------- *)
 
-let crc_table =
+(* Slicing-by-8: table [k] (entries [256k .. 256k+255]) advances a byte
+   through [k] further zero bytes, so eight input bytes fold into the
+   remainder with eight independent lookups instead of a chain of eight
+   dependent ones. Table 0 is the classic bytewise table. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.((256 * (k - 1)) + n) in
+         t.((256 * k) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+       done
+     done;
+     t)
 
 let crc32 ?(pos = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - pos in
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Hashing.crc32";
-  let table = Lazy.force crc_table in
+  let t = Lazy.force crc_tables in
+  let byte i = Char.code (String.unsafe_get s i) in
+  (* Every index below is in bounds: [pos, pos + len) was checked above
+     and table indices are masked to a byte within their table. *)
+  let tbl k x = Array.unsafe_get t ((256 * k) + (x land 0xFF)) in
   let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  let i = ref pos in
+  let stop = pos + len in
+  while !i + 8 <= stop do
+    let j = !i in
+    let lo = !c lxor (Int32.to_int (String.get_int32_le s j) land 0xFFFFFFFF) in
+    c :=
+      tbl 7 lo
+      lxor tbl 6 (lo lsr 8)
+      lxor tbl 5 (lo lsr 16)
+      lxor tbl 4 (lo lsr 24)
+      lxor tbl 3 (byte (j + 4))
+      lxor tbl 2 (byte (j + 5))
+      lxor tbl 1 (byte (j + 6))
+      lxor tbl 0 (byte (j + 7));
+    i := j + 8
+  done;
+  for j = !i to stop - 1 do
+    c := tbl 0 (!c lxor byte j) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF

@@ -5,6 +5,7 @@
 
 module Protocol = Ff_serve.Protocol
 module Engine = Ff_serve.Engine
+module Report = Ff_serve.Report
 module Wire = Fastflip.Wire
 module Hashing = Ff_support.Hashing
 module Telemetry = Ff_support.Telemetry
@@ -237,6 +238,7 @@ let c_pipeline_runs = Telemetry.counter "pipeline.runs"
 let c_warm_hits = Telemetry.counter "serve.warm_hits"
 let c_fast_path = Telemetry.counter "serve.fast_path"
 let c_slow_path = Telemetry.counter "serve.slow_path"
+let c_compiles = Telemetry.counter "serve.compiles"
 
 let with_telemetry f =
   Telemetry.reset ();
@@ -246,6 +248,11 @@ let with_telemetry f =
       Telemetry.set_enabled false;
       Telemetry.reset ())
     f
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.equal (String.sub haystack i nl) needle || go (i + 1)) in
+  go 0
 
 let report_of engine req =
   match Engine.handle engine req with
@@ -262,9 +269,19 @@ let test_warm_cache_runs_nothing () =
   let runs = Telemetry.value c_pipeline_runs in
   Alcotest.(check bool) "cold request injected" true (injections > 0);
   Alcotest.(check int) "one pipeline run" 1 runs;
+  Alcotest.(check int) "cold request compiled once" 1 (Telemetry.value c_compiles);
   let second = report_of engine req in
   Alcotest.(check string) "warm response byte-identical" first second;
   Alcotest.(check int) "served from the warm cache" 1 (Telemetry.value c_warm_hits);
+  Alcotest.(check int) "zero new compiles" 1 (Telemetry.value c_compiles);
+  (match Engine.handle engine Protocol.Stats with
+  | Protocol.Stats_json json ->
+    List.iter
+      (fun name ->
+        Alcotest.(check bool) (name ^ " in Stats") true
+          (contains json ("\"" ^ name ^ "\"")))
+      [ "serve.compiles"; "serve.render_us" ]
+  | _ -> Alcotest.fail "expected Stats_json");
   Alcotest.(check int) "zero new injections" injections (Telemetry.value c_injections);
   Alcotest.(check int) "zero new pipeline runs" runs (Telemetry.value c_pipeline_runs)
 
@@ -300,6 +317,68 @@ let test_fast_path_skips_injections () =
   Alcotest.(check int) "both requests ran the pipeline" 2
     (Telemetry.value c_pipeline_runs)
 
+let test_compile_error_is_not_cached () =
+  with_telemetry @@ fun () ->
+  let engine = Engine.create () in
+  let good = Protocol.Analyze { source; query = quick_query } in
+  ignore (report_of engine good);
+  let cached = Engine.cached engine in
+  let broken = "kernel oops(" in
+  let expected =
+    match Ff_lang.Frontend.compile broken with
+    | Ok _ -> Alcotest.fail "broken source compiled"
+    | Error e -> Format.asprintf "%a" Ff_lang.Frontend.pp_error e
+  in
+  for _ = 1 to 2 do
+    let req = Protocol.Analyze { source = broken; query = quick_query } in
+    match Engine.handle engine req with
+    | Protocol.Error msg -> Alcotest.(check string) "compile error text" expected msg
+    | _ -> Alcotest.fail "broken source earned a report"
+  done;
+  Alcotest.(check int) "errors are not cached" cached (Engine.cached engine);
+  Alcotest.(check int) "each failing request compiled again" 3
+    (Telemetry.value c_compiles);
+  (* A following valid request still succeeds, cold and then warm. *)
+  let query = { quick_query with Protocol.q_samples = 31 } in
+  let other = Protocol.Analyze { source; query } in
+  let cold = report_of engine other in
+  Alcotest.(check string) "warm after an error" cold (report_of engine other);
+  Alcotest.(check int) "one new entry" (cached + 1) (Engine.cached engine)
+
+(* The knapsack targets of the benchmark's serve workload. *)
+let serve_targets = [ 0.5; 0.7; 0.8; 0.9; 0.95; 0.99 ]
+
+let one_shot () =
+  let program = Result.get_ok (Ff_lang.Frontend.compile source) in
+  let q = quick_query in
+  Fastflip.Pipeline.analyze
+    (Engine.config_of ~model:q.Protocol.q_model ~bits:q.Protocol.q_bits
+       ~samples:q.Protocol.q_samples ~epsilon:q.Protocol.q_epsilon
+       ~prove:q.Protocol.q_prove ())
+    program
+
+let test_report_is_body_then_selection () =
+  let a = one_shot () in
+  List.iter
+    (fun target ->
+      Alcotest.(check string)
+        (Printf.sprintf "analysis = body ^ selection at %.2f" target)
+        (Report.analysis ~target a)
+        (Report.body a ^ Report.selection ~target a))
+    (0.0 :: 1.0 :: serve_targets)
+
+let test_warm_replies_match_one_shot () =
+  let a = one_shot () in
+  let engine = Engine.create () in
+  List.iter
+    (fun target ->
+      let query = { quick_query with Protocol.q_target = target } in
+      Alcotest.(check string)
+        (Printf.sprintf "daemon reply = one-shot report at %.2f" target)
+        (Report.analysis ~target a)
+        (report_of engine (Protocol.Analyze { source; query })))
+    serve_targets
+
 let () =
   Alcotest.run "serve"
     [
@@ -320,5 +399,11 @@ let () =
             test_warm_cache_runs_nothing;
           Alcotest.test_case "fast path skips injections" `Quick
             test_fast_path_skips_injections;
+          Alcotest.test_case "compile errors are not cached" `Quick
+            test_compile_error_is_not_cached;
+          Alcotest.test_case "report is body then selection" `Quick
+            test_report_is_body_then_selection;
+          Alcotest.test_case "warm replies match the one-shot report" `Quick
+            test_warm_replies_match_one_shot;
         ] );
     ]

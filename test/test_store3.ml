@@ -90,6 +90,101 @@ let check_records_match ~msg expected loaded =
       | None -> Alcotest.failf "%s: record lost" msg)
     expected
 
+(* --- codec ----------------------------------------------------------------- *)
+
+(* The original bytewise little-endian int64 writer, kept as the oracle
+   for [Wire.w_int64]. [oracle_record] spells the record layout out on
+   top of it, so the test pins every byte of the on-disk encoding. *)
+let oracle_int64 buf v =
+  for i = 0 to 7 do
+    Buffer.add_char buf
+      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
+  done
+
+let oracle_record (r : Store.section_record) =
+  let module Eqclass = Ff_inject.Eqclass in
+  let module Outcome = Ff_inject.Outcome in
+  let module Sensitivity = Ff_sensitivity.Sensitivity in
+  let buf = Buffer.create 4096 in
+  let int v = oracle_int64 buf (Int64.of_int v) in
+  let float v = oracle_int64 buf (Int64.bits_of_float v) in
+  let array f a =
+    int (Array.length a);
+    Array.iter f a
+  in
+  let int2 a b =
+    int a;
+    int b
+  in
+  let pc (pc : Site.pc) = int2 pc.Site.kernel pc.Site.instr in
+  let operand = function
+    | Site.Src i -> int2 0 i
+    | Site.Dst -> int2 1 0
+    | Site.Op -> int2 2 0
+    | Site.Mem b -> int2 3 b
+  in
+  let site (s : Site.t) =
+    int s.Site.section;
+    int s.Site.dyn;
+    pc s.Site.pc;
+    operand s.Site.operand;
+    int s.Site.bit
+  in
+  let outcome = function
+    | Outcome.S_detected Outcome.Crash -> int2 0 0
+    | Outcome.S_detected Outcome.Timed_out -> int2 0 1
+    | Outcome.S_detected Outcome.Misformatted -> int2 0 2
+    | Outcome.S_sdc ms ->
+      int 1;
+      array
+        (fun (idx, m) ->
+          int idx;
+          float m)
+        ms
+  in
+  let k = r.Store.rec_key in
+  oracle_int64 buf k.Store.code_hash;
+  oracle_int64 buf k.Store.input_hash;
+  oracle_int64 buf k.Store.config_hash;
+  let camp = r.Store.rec_campaign in
+  int camp.Campaign.section_index;
+  array
+    (fun ((cls : Eqclass.t), o) ->
+      pc cls.Eqclass.pc;
+      operand cls.Eqclass.operand;
+      int cls.Eqclass.bit;
+      array (fun (section, dyn) -> int2 section dyn) cls.Eqclass.members;
+      site cls.Eqclass.pilot;
+      outcome o)
+    camp.Campaign.s_classes;
+  int camp.Campaign.s_work;
+  int camp.Campaign.s_injections;
+  int camp.Campaign.s_sites;
+  let sens = r.Store.rec_sensitivity in
+  int sens.Sensitivity.section_index;
+  array int sens.Sensitivity.input_buffers;
+  array int sens.Sensitivity.output_buffers;
+  array (array float) sens.Sensitivity.k;
+  int sens.Sensitivity.samples_used;
+  int sens.Sensitivity.work;
+  int r.Store.rec_work;
+  Buffer.contents buf
+
+let test_record_codec_matches_oracle () =
+  let r = Lazy.force proto in
+  Alcotest.(check bool) "record has classes" true
+    (Array.length r.Store.rec_campaign.Campaign.s_classes > 0);
+  let buf = Buffer.create 4096 in
+  Wire.w_record buf r;
+  let bytes = Buffer.contents buf in
+  Alcotest.(check string) "encoding equals the bytewise oracle" (oracle_record r) bytes;
+  let c = Wire.cursor bytes in
+  let back = Wire.r_record c in
+  Alcotest.(check bool) "decoder consumed every byte" true (Wire.at_end c);
+  Alcotest.(check bool) "record reads back" true (Persist.roundtrip_equal r back);
+  Alcotest.check_raises "truncated int64 is Corrupt" (Wire.Corrupt "truncated int64")
+    (fun () -> ignore (Wire.r_record (Wire.cursor (String.sub bytes 0 20))))
+
 (* --- layout ---------------------------------------------------------------- *)
 
 let test_sharded_layout_and_stat () =
@@ -536,6 +631,11 @@ let test_concurrent_writers_and_reader () =
 let () =
   Alcotest.run "store3"
     [
+      ( "codec",
+        [
+          Alcotest.test_case "record bytes match the bytewise oracle" `Quick
+            test_record_codec_matches_oracle;
+        ] );
       ( "layout",
         [
           Alcotest.test_case "sharded layout and stat" `Quick

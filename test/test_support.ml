@@ -213,6 +213,41 @@ let test_crc32_rejects_bad_slice () =
     (Invalid_argument "Hashing.crc32") (fun () ->
       ignore (Hashing.crc32 ~pos:4 ~len:2 "12345"))
 
+(* The original bytewise CRC-32, kept as the oracle for the sliced
+   implementation. *)
+let crc32_bytewise ~pos ~len s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* A random string with a random in-range slice: mostly short slices
+   (0-64 bytes, covering every tail length and unaligned start), some
+   large ones. *)
+let crc_slice_gen =
+  QCheck.Gen.(
+    let* len = frequency [ (4, int_range 0 64); (1, int_range 65 100_000) ] in
+    let* pre = int_range 0 15 and* post = int_range 0 15 in
+    let* s = string_size ~gen:char (return (pre + len + post)) in
+    return (s, pre, len))
+
+let crc32_matches_bytewise =
+  QCheck.Test.make ~count:300 ~name:"crc32 ≡ bytewise oracle on random slices"
+    (QCheck.make
+       ~print:(fun (s, pos, len) ->
+         Printf.sprintf "pos %d len %d of %d bytes" pos len (String.length s))
+       crc_slice_gen)
+    (fun (s, pos, len) -> Hashing.crc32 ~pos ~len s = crc32_bytewise ~pos ~len s)
+
 (* --- table -------------------------------------------------------------- *)
 
 let contains haystack needle =
@@ -464,6 +499,7 @@ let () =
           Alcotest.test_case "crc32 vectors" `Quick test_crc32_known_vectors;
           Alcotest.test_case "crc32 flip detection" `Quick test_crc32_detects_flips;
           Alcotest.test_case "crc32 slice validation" `Quick test_crc32_rejects_bad_slice;
+          QCheck_alcotest.to_alcotest crc32_matches_bytewise;
         ] );
       ( "table",
         [
