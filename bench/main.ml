@@ -1031,6 +1031,7 @@ let emit_server_json () =
 (* --- sharded store: O(dirty) saves, parallel writers --------------------- *)
 
 type store_result = {
+  so_record_bytes : int;
   so_records : int;
   so_dirty : int;
   so_incremental_s : float;
@@ -1063,6 +1064,13 @@ let print_store config =
   let proto_store = Store.create () in
   let _ = Pipeline.analyze ~store:proto_store config program in
   let proto = List.hd (Store.records proto_store) in
+  (* The encoded size of this one record is deterministic: the gate
+     holds the record layout to it. *)
+  let record_bytes =
+    let buf = Buffer.create 65536 in
+    Fastflip.Wire.w_record buf proto;
+    Buffer.length buf
+  in
   let mk i =
     {
       proto with
@@ -1237,6 +1245,7 @@ let print_store config =
   Telemetry.set_enabled was_enabled;
   let r =
     {
+      so_record_bytes = record_bytes;
       so_records = n;
       so_dirty = dirty;
       so_incremental_s = !best_incremental;
@@ -1262,6 +1271,7 @@ let print_store config =
   List.iter
     (fun row -> Ff_support.Table.add_row t row)
     [
+      [ "record bytes"; string_of_int r.so_record_bytes ];
       [ "incremental save ms"; Printf.sprintf "%.3f" (r.so_incremental_s *. 1e3) ];
       [ "full rewrite ms"; Printf.sprintf "%.3f" (r.so_full_s *. 1e3) ];
       [ "O(dirty) speedup"; Printf.sprintf "%.1fx" (so_speedup r) ];
@@ -1287,13 +1297,14 @@ let emit_store_json () =
   | Some r ->
     let oc = open_out "BENCH_store.json" in
     Printf.fprintf oc
-      "{\n  \"records\": %d,\n  \"dirty\": %d,\n  \"incremental_save_s\": %.6f,\n  \
-       \"full_rewrite_s\": %.6f,\n  \"odirty_speedup\": %.3f,\n  \"writers\": 2,\n  \
+      "{\n  \"record_bytes\": %d,\n  \"records\": %d,\n  \"dirty\": %d,\n  \
+       \"incremental_save_s\": %.6f,\n  \"full_rewrite_s\": %.6f,\n  \"odirty_speedup\": %.3f,\n  \"writers\": 2,\n  \
        \"cores\": %d,\n  \
        \"writer_saves\": %d,\n  \"writer_batch\": %d,\n  \"serial_s\": %.6f,\n  \
        \"parallel_s\": %.6f,\n  \"writer_scaling\": %.3f,\n  \"saves_expected\": %d,\n  \
        \"saves_counted\": %d,\n  \"identical\": %b\n}\n"
-      r.so_records r.so_dirty r.so_incremental_s r.so_full_s (so_speedup r)
+      r.so_record_bytes r.so_records r.so_dirty r.so_incremental_s r.so_full_s
+      (so_speedup r)
       (Domain.recommended_domain_count ())
       r.so_writer_saves r.so_writer_batch r.so_serial_s r.so_parallel_s
       (so_scaling r) r.so_saves_expected r.so_saves_counted r.so_identical;

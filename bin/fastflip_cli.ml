@@ -141,7 +141,11 @@ let with_store ~strict ?shards store_path k =
     let store, generation =
       if Fastflip.Persist.present ~path then begin
         match Fastflip.Persist.load_v ~path with
-        | Ok (store, skipped, generation) ->
+        | Ok
+            { Fastflip.Persist.ld_store = store;
+              ld_skipped = skipped;
+              ld_stale = stale;
+              ld_generation = generation } ->
           if skipped > 0 then begin
             if strict then begin
               Printf.eprintf "fastflip: store %s: %d corrupt record(s) refused by --strict-store\n"
@@ -150,6 +154,10 @@ let with_store ~strict ?shards store_path k =
             end;
             Printf.eprintf "warning: store %s: skipped %d corrupt record(s)\n" path skipped
           end;
+          if stale > 0 then
+            Printf.eprintf
+              "warning: store %s: %d record(s) from an older record layout; their sections are recomputed\n"
+              path stale;
           Printf.printf "loaded %d section records from %s\n" (Fastflip.Store.size store) path;
           (store, Some generation)
         | Error e ->
@@ -439,6 +447,8 @@ let store_stat_cmd =
       Printf.printf "generation: %Ld\n" info.st_generation;
       Printf.printf "records:    %d live, %d dead frame(s)\n" info.st_live info.st_dead;
       Printf.printf "bytes:      %d\n" info.st_bytes;
+      if info.st_stale > 0 then
+        Printf.printf "stale:      %d frame(s) from an older record layout\n" info.st_stale;
       if info.st_skipped > 0 then
         Printf.printf "skipped:    %d corrupt record(s)/region(s)\n" info.st_skipped;
       if String.equal info.st_format "FFSTORE3" then begin

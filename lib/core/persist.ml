@@ -9,6 +9,7 @@ let m_merged = Telemetry.counter "persist.saves.merged_records"
 let m_loads = Telemetry.counter "persist.loads"
 let m_loaded = Telemetry.counter "persist.records_loaded"
 let m_skipped = Telemetry.counter "persist.records_skipped"
+let m_stale = Telemetry.counter "persist.records_stale"
 let m_appends = Telemetry.counter "persist.appends"
 let m_appended = Telemetry.counter "persist.records_appended"
 let m_compactions = Telemetry.counter "persist.compactions"
@@ -287,10 +288,13 @@ let write_shard ~spath records =
   write_atomic ~path:spath (Buffer.contents buf);
   kill_tick ()
 
-(* Decode a log's frame payloads into records, in file order; corrupt or
-   trailing-garbage payloads count as skips. *)
-let decode_shard_payloads payloads =
-  let skips = ref 0 in
+(* Decode frame payloads into records, in file order; corrupt or
+   trailing-garbage payloads count as skips, records of another layout
+   ({!Wire.Stale}) as stale. A stale frame is intact, so it still counts
+   against a declared frame count; it is simply not loaded, and the next
+   compaction drops it. *)
+let decode_payloads payloads =
+  let skips = ref 0 and stale = ref 0 in
   let entries =
     List.filter_map
       (fun payload ->
@@ -305,29 +309,33 @@ let decode_shard_payloads payloads =
           None
         | exception Wire.Corrupt _ ->
           incr skips;
+          None
+        | exception Wire.Stale ->
+          incr stale;
           None)
       payloads
   in
-  (entries, !skips)
+  (entries, !skips, !stale)
 
 type shard_info = {
   sh_index : int;
   sh_bytes : int;
   sh_frames : int;  (* structurally valid record frames, dead ones included *)
   sh_live : int;  (* distinct keys (last frame wins) *)
+  sh_stale : int;
   sh_skipped : int;
 }
 
 let load_shard store ~index ~declared spath =
   match read_file spath with
   | Error _ ->
-    { sh_index = index; sh_bytes = 0; sh_frames = 0; sh_live = 0;
+    { sh_index = index; sh_bytes = 0; sh_frames = 0; sh_live = 0; sh_stale = 0;
       sh_skipped = (if declared > 0 then declared else 0) }
   | Ok data ->
     let magic_ok = has_magic data magic_shard in
     let pos = if magic_ok then String.length magic_shard else 0 in
     let frames, frame_skips = Wire.read_frames ~pos data in
-    let entries, decode_skips = decode_shard_payloads frames in
+    let entries, decode_skips, stale = decode_payloads frames in
     let keys = Hashtbl.create 16 in
     List.iter
       (fun (_, (record : Store.section_record)) ->
@@ -340,28 +348,19 @@ let load_shard store ~index ~declared spath =
       sh_bytes = String.length data;
       sh_frames = actual;
       sh_live = Hashtbl.length keys;
+      sh_stale = stale;
       sh_skipped =
         (if magic_ok then 0 else 1)
         + frame_skips + decode_skips
-        + max 0 (declared - actual) }
+        + max 0 (declared - actual - stale) }
 
 (* --- load -------------------------------------------------------------------- *)
 
 let load_v2 data =
   let frames, frame_skips = Wire.read_frames ~pos:(String.length magic_v2 + 8) data in
   let store = Store.create () in
-  let decode_skips = ref 0 in
-  List.iter
-    (fun payload ->
-      match
-        let c = Wire.cursor payload in
-        let record = Wire.r_record c in
-        if Wire.at_end c then Some record else None
-      with
-      | Some record -> Store.add_clean store record
-      | None -> incr decode_skips
-      | exception Wire.Corrupt _ -> incr decode_skips)
-    frames;
+  let entries, decode_skips, stale = decode_payloads frames in
+  List.iter (fun (_, record) -> Store.add_clean store record) entries;
   (* The declared record count catches what frame CRCs cannot: a clean
      truncation that removes whole trailing frames. A corrupted count is
      itself CRC-less, so only trust it when plausible. *)
@@ -371,13 +370,13 @@ let load_v2 data =
     | n -> Some n
     | exception Wire.Corrupt _ -> None
   in
-  let skipped = frame_skips + !decode_skips in
+  let skipped = frame_skips + decode_skips in
   let skipped =
     match declared with
-    | Some n when n > Store.size store -> max skipped (n - Store.size store)
+    | Some n when n > Store.size store + stale -> max skipped (n - Store.size store - stale)
     | Some _ | None -> skipped
   in
-  Ok (store, skipped)
+  Ok (store, skipped, stale)
 
 let load_v1 data =
   let c = Wire.cursor ~pos:(String.length magic_v1) data in
@@ -385,17 +384,24 @@ let load_v1 data =
   | exception Wire.Corrupt what -> Error ("corrupt store file: " ^ what)
   | count ->
     let store = Store.create () in
-    let corrupt = ref false in
+    let corrupt = ref false and stale = ref 0 in
     (try
        for _ = 1 to count do
          Store.add_clean store (Wire.r_record c)
        done
-     with Wire.Corrupt _ -> corrupt := true);
-    let skipped = count - Store.size store in
+     with
+    | Wire.Corrupt _ -> corrupt := true
+    (* v1 records are unframed, so past a stale record there is no
+       telling where the next one starts; one writer wrote them all in
+       one layout, so the rest are stale too. *)
+    | Wire.Stale -> stale := count - Store.size store);
+    let skipped = count - Store.size store - !stale in
     (* Trailing bytes after a fully-parsed v1 store are corruption too;
        report them as one skip so [--strict-store] notices. *)
-    let skipped = if (not !corrupt) && not (Wire.at_end c) then skipped + 1 else skipped in
-    Ok (store, skipped)
+    let skipped =
+      if (not !corrupt) && !stale = 0 && not (Wire.at_end c) then skipped + 1 else skipped
+    in
+    Ok (store, skipped, !stale)
 
 (* One full decode of whatever sits at [path], shared by [load]/[stat]/
    [compact]. *)
@@ -407,9 +413,11 @@ type scan = {
   sc_manifest_bytes : int;
   sc_per_shard : shard_info list;
   sc_skipped : int;
+  sc_stale : int;
 }
 
 let sum_skips infos = List.fold_left (fun acc s -> acc + s.sh_skipped) 0 infos
+let sum_stale infos = List.fold_left (fun acc s -> acc + s.sh_stale) 0 infos
 
 (* The manifest is unreadable (or its magic was destroyed while healthy
    shard logs sit next to it): recover every record the logs still hold
@@ -431,9 +439,10 @@ let salvage_scan ~manifest_bytes path store =
     sc_shards = List.fold_left (fun acc s -> max acc (s.sh_index + 1)) 0 infos;
     sc_manifest_bytes = manifest_bytes;
     sc_per_shard = infos;
-    sc_skipped = 1 + sum_skips infos }
+    sc_skipped = 1 + sum_skips infos;
+    sc_stale = sum_stale infos }
 
-let legacy_scan format path data store skipped =
+let legacy_scan format path data (store, skipped, stale) =
   let n = Store.size store in
   { sc_format = format;
     sc_store = store;
@@ -442,8 +451,9 @@ let legacy_scan format path data store skipped =
     sc_manifest_bytes = 0;
     sc_per_shard =
       [ { sh_index = 0; sh_bytes = String.length data; sh_frames = n;
-          sh_live = n; sh_skipped = skipped } ];
-    sc_skipped = skipped }
+          sh_live = n; sh_stale = stale; sh_skipped = skipped } ];
+    sc_skipped = skipped;
+    sc_stale = stale }
 
 let shard_salvageable path =
   let rec go i =
@@ -480,18 +490,26 @@ let read_store ~path =
             sc_shards = mf.mf_shards;
             sc_manifest_bytes = String.length data;
             sc_per_shard = infos;
-            sc_skipped = sum_skips infos }
+            sc_skipped = sum_skips infos;
+            sc_stale = sum_stale infos }
       | None -> Ok (salvage_scan ~manifest_bytes:(String.length data) path store)
     end
     else if has_magic data magic_v2 then
-      Result.map (fun (store, skipped) -> legacy_scan magic_v2 path data store skipped) (load_v2 data)
+      Result.map (legacy_scan magic_v2 path data) (load_v2 data)
     else if has_magic data magic_v1 then
-      Result.map (fun (store, skipped) -> legacy_scan magic_v1 path data store skipped) (load_v1 data)
+      Result.map (legacy_scan magic_v1 path data) (load_v1 data)
     else if shard_salvageable path then
       Ok (salvage_scan ~manifest_bytes:(String.length data) path (Store.create ()))
     else Error "not a FastFlip store file"
 
 let present ~path = Sys.file_exists path || shard_salvageable path
+
+type loaded = {
+  ld_store : Store.t;
+  ld_skipped : int;
+  ld_stale : int;
+  ld_generation : int64;
+}
 
 let load_v ~path =
   Telemetry.incr m_loads;
@@ -500,9 +518,14 @@ let load_v ~path =
   | Ok sc ->
     Telemetry.add m_loaded (Store.size sc.sc_store);
     Telemetry.add m_skipped sc.sc_skipped;
-    Ok (sc.sc_store, sc.sc_skipped, sc.sc_generation)
+    Telemetry.add m_stale sc.sc_stale;
+    Ok
+      { ld_store = sc.sc_store;
+        ld_skipped = sc.sc_skipped;
+        ld_stale = sc.sc_stale;
+        ld_generation = sc.sc_generation }
 
-let load ~path = Result.map (fun (store, skipped, _) -> (store, skipped)) (load_v ~path)
+let load ~path = Result.map (fun ld -> (ld.ld_store, ld.ld_skipped)) (load_v ~path)
 
 let generation ~path =
   match classify path with
@@ -520,6 +543,7 @@ type info = {
   st_dead : int;
   st_bytes : int;
   st_skipped : int;
+  st_stale : int;
   st_per_shard : shard_info list;
 }
 
@@ -540,6 +564,7 @@ let stat ~path =
         st_dead = max 0 (frames - live);
         st_bytes = bytes;
         st_skipped = sc.sc_skipped;
+        st_stale = sc.sc_stale;
         st_per_shard = sc.sc_per_shard }
 
 (* --- save -------------------------------------------------------------------- *)
@@ -563,7 +588,7 @@ let stage_compaction path i =
   | Ok data ->
     let pos = if has_magic data magic_shard then String.length magic_shard else 0 in
     let frames, _ = Wire.read_frames ~pos data in
-    let entries, _ = decode_shard_payloads frames in
+    let entries, _, _ = decode_payloads frames in
     let last = Hashtbl.create 64 in
     List.iteri
       (fun idx (payload, (record : Store.section_record)) ->
@@ -800,7 +825,11 @@ let compact ?shards ~path () =
       let gen = next_generation (Some sc.sc_generation) in
       write_full ~path ~shards:target ~gen records;
       Telemetry.add m_compactions target;
-      Ok { cp_live = live; cp_dropped = max 0 (frames - live); cp_shards = target; cp_generation = gen })
+      Ok
+        { cp_live = live;
+          cp_dropped = max 0 (frames - live) + sc.sc_stale;
+          cp_shards = target;
+          cp_generation = gen })
 
 (* --- legacy writers ----------------------------------------------------------- *)
 

@@ -51,6 +51,15 @@
        to the live set (original payload bytes preserved); {!compact}
        does it store-wide and can reshard.}}
 
+    {2 Stale records}
+
+    Every container holds records in {!Wire}'s record layout. A record
+    written in another layout is {e stale}: it is not corrupt (it does not
+    count as skipped, so [--strict-store] accepts the store), it is not
+    loaded, so its section is recomputed, and it still counts as a frame
+    against the manifest's declared counts. Compaction drops it. Loads
+    count stale records in the [persist.records_stale] counter.
+
     Legacy [FFSTORE2]/[FFSTORE1] files still load; the first {!save} over
     one migrates it to v3 in place. *)
 
@@ -117,10 +126,18 @@ val load : path:string -> (Store.t * int, string) result
     Never raises on corrupt input (including files truncated or appended
     to concurrently with the read). *)
 
-val load_v : path:string -> (Store.t * int * int64, string) result
-(** {!load}, also returning the store's generation — pass it back to
-    {!save} as [?known_generation]. Legacy files report a stat-derived
-    fingerprint that plays the same role. *)
+type loaded = {
+  ld_store : Store.t;
+  ld_skipped : int;  (** corrupt records/regions, as {!load} reports them *)
+  ld_stale : int;  (** intact records of another layout, left unloaded *)
+  ld_generation : int64;
+      (** pass back to {!save} as [?known_generation]; legacy files report
+          a stat-derived fingerprint that plays the same role *)
+}
+
+val load_v : path:string -> (loaded, string) result
+(** {!load}, also reporting the stale-record count and the store's
+    generation. *)
 
 val generation : path:string -> int64 option
 (** The current on-disk generation without reading any records; [None]
@@ -133,6 +150,7 @@ type shard_info = {
   sh_bytes : int;
   sh_frames : int;  (** valid record frames, superseded ones included *)
   sh_live : int;  (** distinct keys (last frame wins) *)
+  sh_stale : int;  (** intact frames of another record layout *)
   sh_skipped : int;  (** corrupt regions + declared-count shortfall *)
 }
 
@@ -144,6 +162,7 @@ type info = {
   st_dead : int;  (** superseded frames awaiting compaction *)
   st_bytes : int;  (** manifest + all logs *)
   st_skipped : int;
+  st_stale : int;  (** frames of another record layout awaiting compaction *)
   st_per_shard : shard_info list;  (** one synthetic entry for legacy files *)
 }
 
@@ -153,7 +172,7 @@ val stat : path:string -> (info, string) result
 
 type compact_stats = {
   cp_live : int;
-  cp_dropped : int;  (** superseded/corrupt frames left behind *)
+  cp_dropped : int;  (** superseded, stale or corrupt frames left behind *)
   cp_shards : int;
   cp_generation : int64;
 }

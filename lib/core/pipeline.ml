@@ -52,14 +52,27 @@ type analysis = {
 }
 
 (* A reused record may come from a version where the section sat at a
-   different schedule index; rewrite the indices to the current one. *)
+   different schedule index; rewrite the indices to the current one.
+   Adjacent classes share one member array (every class of a pc), so
+   each distinct array is rebased once and the result shared the same
+   way. *)
 let rebase_record (record : Store.section_record) ~section_index =
   if record.Store.rec_campaign.Campaign.section_index = section_index then record
   else begin
+    let last = ref ([||], [||]) in
+    let rebase_members members =
+      let src, dst = !last in
+      if members == src then dst
+      else begin
+        let dst = Array.map (fun (_, dyn) -> (section_index, dyn)) members in
+        last := (members, dst);
+        dst
+      end
+    in
     let rebase_class (cls : Eqclass.t) =
       {
         cls with
-        Eqclass.members = Array.map (fun (_, dyn) -> (section_index, dyn)) cls.Eqclass.members;
+        Eqclass.members = rebase_members cls.Eqclass.members;
         pilot = { cls.Eqclass.pilot with Site.section = section_index };
       }
     in

@@ -82,6 +82,11 @@ type backing = {
 val backing_of_store : Store.t -> backing
 (** Plain unsynchronized access — what the one-shot CLI uses. *)
 
+val rebase_record : Store.section_record -> section_index:int -> Store.section_record
+(** A reused record moved to schedule index [section_index]: every member
+    site, pilot and the sensitivity entry are rewritten to it. Classes
+    that shared a member array still share the rebased one. *)
+
 val analyze_prepared :
   ?backing:backing ->
   ?pool:Ff_support.Pool.t ->

@@ -128,21 +128,6 @@ let r_member c =
   let dyn = r_int c in
   (section, dyn)
 
-let w_class buf (cls : Eqclass.t) =
-  w_pc buf cls.Eqclass.pc;
-  w_operand buf cls.Eqclass.operand;
-  w_int buf cls.Eqclass.bit;
-  w_array buf w_member cls.Eqclass.members;
-  w_site buf cls.Eqclass.pilot
-
-let r_class c =
-  let pc = r_pc c in
-  let operand = r_operand c in
-  let bit = r_int c in
-  let members = r_array c r_member "class members" in
-  let pilot = r_site c in
-  { Eqclass.pc; operand; bit; members; pilot }
-
 let w_detected buf = function
   | Outcome.Crash -> w_int buf 0
   | Outcome.Timed_out -> w_int buf 1
@@ -178,27 +163,90 @@ let r_section_outcome c =
   | 1 -> Outcome.S_sdc (r_array c r_magnitude "magnitudes")
   | _ -> raise (Corrupt "outcome tag")
 
+(* Record layout 2 writes a class's member array only when it differs
+   from the previous class's (member tag 0: repeat; 1: the array
+   follows). Classes are sorted by (pc, operand, bit), so the classes of
+   one pc sit together and their array goes to disk once; the reader
+   hands the previous array back, so they share one array in memory
+   again. Equality is checked structurally after the physical test, so a
+   record that lost its sharing still encodes once per run. The first
+   class compares against the empty array.
+
+   A pilot is canonical when it is what [Eqclass] builds: the median
+   member at the class's own pc, operand and bit (pilot tag 0). Any other
+   pilot (detector coverage, tests) is written in full (pilot tag 1). *)
+let canonical_pilot pc operand bit members =
+  let n = Array.length members in
+  if n = 0 then None
+  else
+    let section, dyn = members.(n / 2) in
+    Some { Site.section; dyn; pc; operand; bit }
+
+let same_members a b =
+  a == b
+  || Array.length a = Array.length b
+     && Array.for_all2 (fun (s, d) (s', d') -> s = s' && d = d') a b
+
+let w_classes buf classes =
+  w_int buf (Array.length classes);
+  let prev = ref [||] in
+  Array.iter
+    (fun ({ Eqclass.pc; operand; bit; members; pilot }, outcome) ->
+      w_pc buf pc;
+      w_operand buf operand;
+      w_int buf bit;
+      if same_members !prev members then w_int buf 0
+      else begin
+        w_int buf 1;
+        w_array buf w_member members;
+        prev := members
+      end;
+      (match canonical_pilot pc operand bit members with
+      | Some canonical when canonical = pilot -> w_int buf 0
+      | Some _ | None ->
+        w_int buf 1;
+        w_site buf pilot);
+      w_section_outcome buf outcome)
+    classes
+
+let r_classes c =
+  let n = r_length c "classes" in
+  let prev = ref [||] in
+  Array.init n (fun _ ->
+      let pc = r_pc c in
+      let operand = r_operand c in
+      let bit = r_int c in
+      let members =
+        match r_int c with
+        | 0 -> !prev
+        | 1 ->
+          let members = r_array c r_member "class members" in
+          prev := members;
+          members
+        | _ -> raise (Corrupt "member run tag")
+      in
+      let pilot =
+        match r_int c with
+        | 0 -> (
+          match canonical_pilot pc operand bit members with
+          | Some pilot -> pilot
+          | None -> raise (Corrupt "canonical pilot of an empty class"))
+        | 1 -> r_site c
+        | _ -> raise (Corrupt "pilot tag")
+      in
+      let outcome = r_section_outcome c in
+      ({ Eqclass.pc; operand; bit; members; pilot }, outcome))
+
 let w_campaign buf (camp : Campaign.section_result) =
   w_int buf camp.Campaign.section_index;
-  w_array buf
-    (fun buf (cls, outcome) ->
-      w_class buf cls;
-      w_section_outcome buf outcome)
-    camp.Campaign.s_classes;
+  w_classes buf camp.Campaign.s_classes;
   w_int buf camp.Campaign.s_work;
   w_int buf camp.Campaign.s_injections;
   w_int buf camp.Campaign.s_sites
 
 let r_campaign c =
   let section_index = r_int c in
-  let s_classes =
-    r_array c
-      (fun c ->
-        let cls = r_class c in
-        let outcome = r_section_outcome c in
-        (cls, outcome))
-      "classes"
-  in
+  let s_classes = r_classes c in
   let s_work = r_int c in
   let s_injections = r_int c in
   let s_sites = r_int c in
@@ -232,14 +280,24 @@ let r_key c =
   let config_hash = r_int64 c in
   { Store.code_hash; input_hash; config_hash }
 
+(* Every layout-2 record carries this marker right after its key. A
+   layout-1 record has its campaign's section index there, which is
+   never negative, so it can never match: such a record is stale, not
+   corrupt, and is never decoded by guesswork. *)
+let record_layout = -2L
+
+exception Stale
+
 let w_record buf (r : Store.section_record) =
   w_key buf r.Store.rec_key;
+  w_int64 buf record_layout;
   w_campaign buf r.Store.rec_campaign;
   w_sensitivity buf r.Store.rec_sensitivity;
   w_int buf r.Store.rec_work
 
 let r_record c =
   let rec_key = r_key c in
+  if not (Int64.equal (r_int64 c) record_layout) then raise Stale;
   let rec_campaign = r_campaign c in
   let rec_sensitivity = r_sensitivity c in
   let rec_work = r_int c in

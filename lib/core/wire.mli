@@ -59,18 +59,47 @@ val r_list : cursor -> (cursor -> 'a) -> string -> 'a list
 
 val w_site : Buffer.t -> Ff_inject.Site.t -> unit
 val r_site : cursor -> Ff_inject.Site.t
-val w_class : Buffer.t -> Ff_inject.Eqclass.t -> unit
-val r_class : cursor -> Ff_inject.Eqclass.t
 val w_section_outcome : Buffer.t -> Ff_inject.Outcome.section_outcome -> unit
 val r_section_outcome : cursor -> Ff_inject.Outcome.section_outcome
+
 val w_campaign : Buffer.t -> Ff_inject.Campaign.section_result -> unit
+(** The campaign's classes in order, each as pc, operand, bit, a member
+    tag, a pilot tag and the outcome. The member tag is [0] when the
+    class's member array equals the previous class's (the first class
+    compares against the empty array) and [1] when the array follows in
+    full as (section, dyn) pairs. The pilot tag is [0] when the pilot is
+    canonical — the site of [members.(n/2)] with the class's own pc,
+    operand and bit, which is what {!Ff_inject.Eqclass} builds — and [1]
+    when the full site follows. *)
+
 val r_campaign : cursor -> Ff_inject.Campaign.section_result
+(** Inverse of {!w_campaign}. A repeated member array is the previous
+    class's array itself, so classes that shared an array before
+    encoding share it again after decoding. *)
+
 val w_sensitivity : Buffer.t -> Ff_sensitivity.Sensitivity.t -> unit
 val r_sensitivity : cursor -> Ff_sensitivity.Sensitivity.t
 val w_key : Buffer.t -> Store.key -> unit
 val r_key : cursor -> Store.key
+
+(** {2 Record layout}
+
+    A store record is [key ∥ layout marker ∥ campaign ∥ sensitivity ∥
+    work]. The marker is a negative int64 constant naming layout 2, the
+    layout {!w_campaign} describes. Layout 1 wrote every class's member
+    array and pilot in full and had no marker: the campaign's section
+    index sat in the marker's place, and it is never negative. *)
+
+exception Stale
+(** Raised by {!r_record} when the marker is missing: the record was
+    written in another layout. A stale record is not corrupt and is never
+    decoded by guesswork; {!Persist} counts it apart from corruption and
+    treats its section as not stored, so it is recomputed. *)
+
 val w_record : Buffer.t -> Store.section_record -> unit
 val r_record : cursor -> Store.section_record
+(** Raises {!Stale} on a record of another layout and {!Corrupt} on a
+    malformed or truncated one. *)
 
 (** {1 CRC frames} *)
 

@@ -133,20 +133,23 @@ let on_retry _ = Telemetry.incr m_retries
    and memflip models is an [Op]/[Mem] operand, not a register-flip
    triple — and the class's member sites are tallied under the faulting
    model, so a quarantined class is visible in the per-model metrics
-   instead of silently folding into the aggregate crash count. *)
-let tally_quarantined ~model (cls : Eqclass.t) =
+   instead of silently folding into the aggregate crash count. The cause
+   is tallied too, by exception constructor, under
+   [campaign.quarantined.<constructor>]. *)
+let tally_quarantined ~model (cls : Eqclass.t) e =
   Telemetry.incr m_quarantined;
   if Telemetry.enabled () then begin
+    Telemetry.incr (Telemetry.counter ("campaign.quarantined." ^ Printexc.exn_slot_name e));
     Telemetry.incr (model_counter model "quarantined");
     Telemetry.add (model_counter model "quarantined.sites") (Eqclass.size cls)
   end
 
-let quarantined_section ~model cls (_ : exn) =
-  tally_quarantined ~model cls;
+let quarantined_section ~model cls e =
+  tally_quarantined ~model cls e;
   (Outcome.S_detected Outcome.Crash, 0)
 
-let quarantined_final ~model cls (_ : exn) =
-  tally_quarantined ~model cls;
+let quarantined_final ~model cls e =
+  tally_quarantined ~model cls e;
   (Outcome.F_detected Outcome.Crash, 0)
 
 (* [quarantined] is item-aware: it gets the element whose replay raised,

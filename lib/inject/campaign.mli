@@ -103,9 +103,11 @@ val run_section :
     replay that raises is retried once and then recorded as a
     [S_detected Crash] outcome with 0 work against its own class key —
     whatever the model's operand shape ([Src]/[Dst], [Op] or [Mem]) —
-    counted under [campaign.retries] / [campaign.quarantined] and the
-    per-model [campaign.model.<name>.quarantined(.sites)] counters,
-    instead of aborting the campaign. *)
+    counted under [campaign.retries] / [campaign.quarantined], by cause
+    under [campaign.quarantined.<constructor>] (the exception's
+    {!Printexc.exn_slot_name}), and under the per-model
+    [campaign.model.<name>.quarantined(.sites)] counters, instead of
+    aborting the campaign. *)
 
 type baseline_result = {
   b_classes : (Eqclass.t * Outcome.final_outcome) array;

@@ -13,7 +13,11 @@ let load_store ~strict path =
   if not (Sys.file_exists path) then (Store.create (), None)
   else
     match Persist.load_v ~path with
-    | Ok (store, skipped, generation) ->
+    | Ok
+        { Persist.ld_store = store;
+          ld_skipped = skipped;
+          ld_stale = stale;
+          ld_generation = generation } ->
       if skipped > 0 then begin
         if strict then
           failwith
@@ -22,6 +26,10 @@ let load_store ~strict path =
         Printf.eprintf "warning: store %s: skipped %d corrupt record(s)\n%!" path
           skipped
       end;
+      if stale > 0 then
+        Printf.eprintf
+          "warning: store %s: %d record(s) from an older record layout; their sections are recomputed\n%!"
+          path stale;
       Printf.eprintf "loaded %d section records from %s\n%!" (Store.size store) path;
       (store, Some generation)
     | Error e ->

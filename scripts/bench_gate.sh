@@ -21,7 +21,8 @@
 #                        serial and pooled runs, bitflip prover prunes
 #                        >= 20% of classes, throughput above a sanity
 #                        floor for every model
-#   BENCH_store.json     well-formed, identical reload, incremental save
+#   BENCH_store.json     well-formed, identical reload, the LUD quick
+#                        record encodes in <= 80000 bytes, incremental save
 #                        >= 5x faster than a full rewrite, every save
 #                        reflected in the persist.saves telemetry; with
 #                        2+ cores two disjoint-shard writers must also
@@ -155,6 +156,10 @@ gate_store() {
   f=$1
   well_formed "$f" || return
   require_identical "$f" "sharded store did not reload bit-identically"
+  # The record layout writes each class's member list once per run of
+  # classes that share it: the LUD quick-config record is ~63 KB, and
+  # ~173 KB when every class carried its own copy.
+  require_floor "$f" record_bytes "<=" 80000 "store records carry repeated member lists"
   require_floor "$f" odirty_speedup ">=" 5.0 "incremental save is not O(dirty)"
   # The telemetry counter must have moved at least once per save the
   # bench performed (the bench itself fails hard on undercounting, so

@@ -92,19 +92,24 @@ let check_records_match ~msg expected loaded =
 
 (* --- codec ----------------------------------------------------------------- *)
 
+module Eqclass = Ff_inject.Eqclass
+module Outcome = Ff_inject.Outcome
+module Sensitivity = Ff_sensitivity.Sensitivity
+module Telemetry = Ff_support.Telemetry
+
 (* The original bytewise little-endian int64 writer, kept as the oracle
-   for [Wire.w_int64]. [oracle_record] spells the record layout out on
-   top of it, so the test pins every byte of the on-disk encoding. *)
+   for [Wire.w_int64]. [oracle_record] spells the record layouts out on
+   top of it, so the tests pin every byte of the on-disk encoding:
+   layout 2 is what [Wire.w_record] must write; layout 1 (no marker,
+   every member array and pilot in full) is the fixture writer for
+   stores written before the marker existed. *)
 let oracle_int64 buf v =
   for i = 0 to 7 do
     Buffer.add_char buf
       (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xFF))
   done
 
-let oracle_record (r : Store.section_record) =
-  let module Eqclass = Ff_inject.Eqclass in
-  let module Outcome = Ff_inject.Outcome in
-  let module Sensitivity = Ff_sensitivity.Sensitivity in
+let oracle_record ~layout (r : Store.section_record) =
   let buf = Buffer.create 4096 in
   let int v = oracle_int64 buf (Int64.of_int v) in
   let float v = oracle_int64 buf (Int64.bits_of_float v) in
@@ -142,19 +147,49 @@ let oracle_record (r : Store.section_record) =
           float m)
         ms
   in
+  let members = array (fun (section, dyn) -> int2 section dyn) in
   let k = r.Store.rec_key in
   oracle_int64 buf k.Store.code_hash;
   oracle_int64 buf k.Store.input_hash;
   oracle_int64 buf k.Store.config_hash;
+  if layout = 2 then oracle_int64 buf (-2L);
   let camp = r.Store.rec_campaign in
   int camp.Campaign.section_index;
+  let prev = ref [||] in
   array
     (fun ((cls : Eqclass.t), o) ->
       pc cls.Eqclass.pc;
       operand cls.Eqclass.operand;
       int cls.Eqclass.bit;
-      array (fun (section, dyn) -> int2 section dyn) cls.Eqclass.members;
-      site cls.Eqclass.pilot;
+      if layout = 1 then begin
+        members cls.Eqclass.members;
+        site cls.Eqclass.pilot
+      end
+      else begin
+        (* Member tag: 0 repeats the previous class's array, 1 writes it. *)
+        if cls.Eqclass.members = !prev then int 0
+        else begin
+          int 1;
+          members cls.Eqclass.members;
+          prev := cls.Eqclass.members
+        end;
+        (* Pilot tag: 0 is the median member at the class's own pc,
+           operand and bit; 1 writes the site. *)
+        let n = Array.length cls.Eqclass.members in
+        let canonical =
+          n > 0
+          &&
+          let section, dyn = cls.Eqclass.members.(n / 2) in
+          cls.Eqclass.pilot
+          = { Site.section; dyn; pc = cls.Eqclass.pc; operand = cls.Eqclass.operand;
+              bit = cls.Eqclass.bit }
+        in
+        if canonical then int 0
+        else begin
+          int 1;
+          site cls.Eqclass.pilot
+        end
+      end;
       outcome o)
     camp.Campaign.s_classes;
   int camp.Campaign.s_work;
@@ -170,20 +205,278 @@ let oracle_record (r : Store.section_record) =
   int r.Store.rec_work;
   Buffer.contents buf
 
-let test_record_codec_matches_oracle () =
-  let r = Lazy.force proto in
-  Alcotest.(check bool) "record has classes" true
-    (Array.length r.Store.rec_campaign.Campaign.s_classes > 0);
+let encode r =
   let buf = Buffer.create 4096 in
   Wire.w_record buf r;
-  let bytes = Buffer.contents buf in
-  Alcotest.(check string) "encoding equals the bytewise oracle" (oracle_record r) bytes;
+  Buffer.contents buf
+
+let decode bytes = Wire.r_record (Wire.cursor bytes)
+
+let test_record_codec_matches_oracle () =
+  let r = Lazy.force proto in
+  let classes = r.Store.rec_campaign.Campaign.s_classes in
+  Alcotest.(check bool) "record has classes" true (Array.length classes > 0);
+  let bytes = encode r in
+  Alcotest.(check string) "encoding equals the bytewise oracle" (oracle_record ~layout:2 r) bytes;
+  (* The analysis record exercises both short forms: repeated member
+     arrays and canonical pilots. *)
+  let repeats =
+    List.filter
+      (fun i -> (fst classes.(i)).Eqclass.members = (fst classes.(i - 1)).Eqclass.members)
+      (List.init (Array.length classes - 1) succ)
+  in
+  Alcotest.(check bool) "some classes repeat their predecessor's members" true (repeats <> []);
+  Alcotest.(check bool) "layout 2 is smaller than layout 1" true
+    (String.length bytes < String.length (oracle_record ~layout:1 r));
   let c = Wire.cursor bytes in
   let back = Wire.r_record c in
   Alcotest.(check bool) "decoder consumed every byte" true (Wire.at_end c);
   Alcotest.(check bool) "record reads back" true (Persist.roundtrip_equal r back);
   Alcotest.check_raises "truncated int64 is Corrupt" (Wire.Corrupt "truncated int64")
-    (fun () -> ignore (Wire.r_record (Wire.cursor (String.sub bytes 0 20))))
+    (fun () -> ignore (decode (String.sub bytes 0 20)));
+  Alcotest.check_raises "truncated marker is Corrupt" (Wire.Corrupt "truncated int64")
+    (fun () -> ignore (decode (String.sub bytes 0 36)));
+  Alcotest.check_raises "a layout-1 record is Stale" Wire.Stale (fun () ->
+      ignore (decode (oracle_record ~layout:1 r)))
+
+(* Random records over the codec's whole domain: members shared with
+   the previous class, unshared copies, arrays shared with a class
+   further back, empty arrays, members from other sections, canonical
+   and arbitrary pilots, every operand kind and both outcome kinds. The
+   classes are deliberately not sorted. *)
+let random_record seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let section_index = int 4 in
+  let member () = ((if int 4 = 0 then int 6 else section_index), int 1000) in
+  let random_operand () =
+    match int 4 with
+    | 0 -> Site.Src (int 3)
+    | 1 -> Site.Dst
+    | 2 -> Site.Op
+    | _ -> Site.Mem (int 4)
+  in
+  let float () =
+    match int 4 with
+    | 0 -> Float.nan
+    | 1 -> -0.0
+    | 2 -> Random.State.float st 1e6
+    | _ -> Int64.float_of_bits (Random.State.bits64 st)
+  in
+  let outcome () =
+    match int 4 with
+    | 0 -> Outcome.S_detected Outcome.Crash
+    | 1 -> Outcome.S_detected Outcome.Timed_out
+    | 2 -> Outcome.S_detected Outcome.Misformatted
+    | _ -> Outcome.S_sdc (Array.init (int 3) (fun _ -> (int 4, float ())))
+  in
+  let used = ref [ [||] ] in
+  let classes = ref [] in
+  for _ = 1 to 1 + int 4 do
+    let pc = { Site.kernel = int 3; instr = int 50 } in
+    let operand = random_operand () in
+    let group =
+      if int 4 = 0 then List.nth !used (int (List.length !used))
+      else Array.init (int 5) (fun _ -> member ())
+    in
+    used := group :: !used;
+    for bit = 0 to int 4 do
+      let members = if int 4 = 0 then Array.copy group else group in
+      let n = Array.length members in
+      let pilot =
+        if n > 0 && int 3 > 0 then
+          let section, dyn = members.(n / 2) in
+          { Site.section; dyn; pc; operand; bit }
+        else
+          { Site.section = int 6; dyn = int 1000; pc = { Site.kernel = int 3; instr = int 50 };
+            operand = random_operand (); bit = int 64 }
+      in
+      classes := ({ Eqclass.pc; operand; bit; members; pilot }, outcome ()) :: !classes
+    done
+  done;
+  let rows = int 3 and cols = int 3 in
+  {
+    Store.rec_key =
+      {
+        Store.code_hash = Random.State.bits64 st;
+        input_hash = Random.State.bits64 st;
+        config_hash = Random.State.bits64 st;
+      };
+    rec_campaign =
+      {
+        Campaign.section_index;
+        s_classes = Array.of_list !classes;
+        s_work = int 10_000;
+        s_injections = int 100;
+        s_sites = int 1000;
+      };
+    rec_sensitivity =
+      {
+        Sensitivity.section_index;
+        input_buffers = Array.init rows (fun _ -> int 8);
+        output_buffers = Array.init cols (fun _ -> int 8);
+        k = Array.init rows (fun _ -> Array.init cols (fun _ -> float ()));
+        samples_used = int 100;
+        work = int 10_000;
+      };
+    rec_work = int 10_000;
+  }
+
+let prop_codec_roundtrip =
+  QCheck2.Test.make ~count:200 ~name:"random records round-trip; truncations are Corrupt"
+    ~print:string_of_int QCheck2.Gen.int
+    (fun seed ->
+      let r = random_record seed in
+      let bytes = encode r in
+      let c = Wire.cursor bytes in
+      let back = Wire.r_record c in
+      let before = r.Store.rec_campaign.Campaign.s_classes
+      and after = back.Store.rec_campaign.Campaign.s_classes in
+      let shared_again i =
+        i = 0
+        || (fst before.(i)).Eqclass.members <> (fst before.(i - 1)).Eqclass.members
+        || (fst after.(i)).Eqclass.members == (fst after.(i - 1)).Eqclass.members
+      in
+      let truncation_is_corrupt k =
+        match decode (String.sub bytes 0 k) with
+        | _ -> false
+        | exception Wire.Corrupt _ -> true
+        | exception _ -> false
+      in
+      String.equal bytes (oracle_record ~layout:2 r)
+      && Persist.roundtrip_equal r back
+      && Wire.at_end c
+      && List.for_all shared_again (List.init (Array.length before) Fun.id)
+      && List.for_all truncation_is_corrupt (List.init (String.length bytes) Fun.id)
+      && match decode (oracle_record ~layout:1 r) with
+         | _ -> false
+         | exception Wire.Stale -> true)
+
+(* Layout-1 containers, written byte by byte with the fixture oracle. *)
+let frame_all records =
+  String.concat "" (List.map (fun r -> Wire.frame (oracle_record ~layout:1 r)) records)
+
+let count_prefix n =
+  let buf = Buffer.create 8 in
+  oracle_int64 buf (Int64.of_int n);
+  Buffer.contents buf
+
+let write_layout1_v1 records ~path =
+  spit path
+    ("FFSTORE1" ^ count_prefix (List.length records)
+    ^ String.concat "" (List.map (oracle_record ~layout:1) records))
+
+let write_layout1_v2 records ~path =
+  spit path ("FFSTORE2" ^ count_prefix (List.length records) ^ frame_all records)
+
+(* A v3 store whose shard logs hold the same records in layout 1: saved
+   normally, then every log rewritten frame for frame, so the manifest's
+   declared counts still match. *)
+let write_layout1_v3 records ~path =
+  let store = Store.create () in
+  List.iter (Store.add store) records;
+  ignore (Persist.save store ~path ~shards:4);
+  for i = 0 to 3 do
+    let spath = Persist.shard_path path i in
+    if Sys.file_exists spath then begin
+      let frames, _ = Wire.read_frames ~pos:8 (slurp spath) in
+      spit spath ("FFSHARD1" ^ frame_all (List.map decode frames))
+    end
+  done
+
+let test_layout1_stores_load_stale () =
+  let stale_counter = Telemetry.counter "persist.records_stale" in
+  let was_enabled = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was_enabled) @@ fun () ->
+  let records = List.init 7 mk_record in
+  List.iter
+    (fun (name, write) ->
+      with_temp_store @@ fun path ->
+      write records ~path;
+      let stale0 = Telemetry.value stale_counter in
+      match Persist.load_v ~path with
+      | Error e -> Alcotest.failf "%s: load failed: %s" name e
+      | Ok ld ->
+        Alcotest.(check int) (name ^ ": no records") 0 (Store.size ld.Persist.ld_store);
+        Alcotest.(check int) (name ^ ": nothing skipped") 0 ld.Persist.ld_skipped;
+        Alcotest.(check int) (name ^ ": all stale") 7 ld.Persist.ld_stale;
+        Alcotest.(check int) (name ^ ": persist.records_stale") 7
+          (Telemetry.value stale_counter - stale0))
+    [ ("v3", write_layout1_v3); ("v2", write_layout1_v2); ("v1", write_layout1_v1) ]
+
+let test_stale_store_stat_load_save () =
+  with_temp_store @@ fun path ->
+  let records = List.init 6 mk_record in
+  write_layout1_v3 records ~path;
+  (match Persist.stat ~path with
+  | Error e -> Alcotest.failf "stat failed: %s" e
+  | Ok info ->
+    Alcotest.(check int) "stat: stale frames" 6 info.Persist.st_stale;
+    Alcotest.(check int) "stat: no live records" 0 info.Persist.st_live;
+    Alcotest.(check int) "stat: no dead frames" 0 info.Persist.st_dead;
+    Alcotest.(check int) "stat: nothing skipped" 0 info.Persist.st_skipped);
+  let bytes_of () = List.init 4 (fun i -> slurp (Persist.shard_path path i)) in
+  let before = bytes_of () in
+  match Persist.load ~path with
+  | Error e -> Alcotest.failf "load failed: %s" e
+  | Ok (store, skipped) ->
+    Alcotest.(check int) "load: no records" 0 (Store.size store);
+    Alcotest.(check int) "load: nothing skipped" 0 skipped;
+    let s = Persist.save store ~path in
+    Alcotest.(check int) "an empty save appends nothing" 0 s.Persist.sv_appended;
+    Alcotest.(check bool) "an empty save leaves the logs alone" true (bytes_of () = before);
+    (* The sections are recomputed and saved next to the stale frames. *)
+    List.iter (Store.add store) records;
+    let s = Persist.save store ~path in
+    Alcotest.(check int) "recomputed records appended" 6 s.Persist.sv_appended;
+    (match Persist.load ~path with
+    | Error e -> Alcotest.failf "reload failed: %s" e
+    | Ok (loaded, skipped) ->
+      Alcotest.(check int) "reload pristine" 0 skipped;
+      Alcotest.(check int) "reload size" 6 (Store.size loaded);
+      check_records_match ~msg:"after the stale store" records loaded);
+    (match Persist.compact ~path () with
+    | Error e -> Alcotest.failf "compact failed: %s" e
+    | Ok cp ->
+      Alcotest.(check int) "compaction keeps the live records" 6 cp.Persist.cp_live;
+      Alcotest.(check int) "compaction drops the stale frames" 6 cp.Persist.cp_dropped);
+    (match Persist.stat ~path with
+    | Error e -> Alcotest.failf "stat failed: %s" e
+    | Ok info -> Alcotest.(check int) "compaction drops stale frames" 0 info.Persist.st_stale);
+    match Persist.load ~path with
+    | Error e -> Alcotest.failf "reload failed: %s" e
+    | Ok (loaded, skipped) ->
+      Alcotest.(check int) "compacted pristine" 0 skipped;
+      check_records_match ~msg:"compacted" records loaded
+
+let distinct_member_arrays (r : Store.section_record) =
+  Array.fold_left
+    (fun seen ((cls : Eqclass.t), _) ->
+      if List.memq cls.Eqclass.members seen then seen else cls.Eqclass.members :: seen)
+    [] r.Store.rec_campaign.Campaign.s_classes
+  |> List.length
+
+let test_rebase_keeps_sharing () =
+  let original = Lazy.force proto in
+  List.iter
+    (fun (name, r) ->
+      let index = r.Store.rec_campaign.Campaign.section_index + 3 in
+      let moved = Pipeline.rebase_record r ~section_index:index in
+      Alcotest.(check bool) (name ^ ": classes share arrays") true
+        (distinct_member_arrays r < Array.length r.Store.rec_campaign.Campaign.s_classes);
+      Alcotest.(check int) (name ^ ": as many distinct arrays after rebase")
+        (distinct_member_arrays r) (distinct_member_arrays moved);
+      Array.iter2
+        (fun ((cls : Eqclass.t), _) ((moved_cls : Eqclass.t), _) ->
+          Alcotest.(check bool) (name ^ ": members rebased") true
+            (moved_cls.Eqclass.members
+            = Array.map (fun (_, dyn) -> (index, dyn)) cls.Eqclass.members);
+          Alcotest.(check int) (name ^ ": pilot rebased") index moved_cls.Eqclass.pilot.Site.section)
+        r.Store.rec_campaign.Campaign.s_classes moved.Store.rec_campaign.Campaign.s_classes;
+      Alcotest.(check bool) (name ^ ": rebased record round-trips") true
+        (Persist.roundtrip_equal moved (decode (encode moved))))
+    [ ("analysis record", original); ("decoded record", decode (encode original)) ]
 
 (* --- layout ---------------------------------------------------------------- *)
 
@@ -271,7 +564,7 @@ let test_migration_differential () =
       write_legacy store ~path;
       match Persist.load_v ~path with
       | Error e -> Alcotest.failf "%s: load failed: %s" name e
-      | Ok (loaded, skipped, gen) ->
+      | Ok { Persist.ld_store = loaded; ld_skipped = skipped; ld_generation = gen; _ } ->
         Alcotest.(check int) (name ^ ": fixture pristine") 0 skipped;
         Alcotest.(check int) (name ^ ": fixture size") (Store.size store)
           (Store.size loaded);
@@ -352,7 +645,7 @@ let test_generation_hint_daemon_flow () =
   Persist.save_legacy_v2 origin ~path;
   match Persist.load_v ~path with
   | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok (mine, _, gen) ->
+  | Ok { Persist.ld_store = mine; ld_generation = gen; _ } ->
     List.iter (Store.add mine) [ mk_record 100; mk_record 101 ];
     let s = Persist.save ~known_generation:gen mine ~path in
     Alcotest.(check int) "migration writes the union" 8 s.Persist.sv_appended;
@@ -635,6 +928,12 @@ let () =
         [
           Alcotest.test_case "record bytes match the bytewise oracle" `Quick
             test_record_codec_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_codec_roundtrip;
+          Alcotest.test_case "layout-1 stores load as stale" `Quick
+            test_layout1_stores_load_stale;
+          Alcotest.test_case "stale store: stat, load, save, compact" `Quick
+            test_stale_store_stat_load_save;
+          Alcotest.test_case "rebase keeps member sharing" `Quick test_rebase_keeps_sharing;
         ] );
       ( "layout",
         [
