@@ -131,21 +131,14 @@ let shards_arg =
   Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
          ~doc:"Shard count when $(b,--store) creates a fresh store (default 16).               An existing store keeps its on-disk layout regardless; reshard               with $(b,fastflip store compact --shards).")
 
-(* Loading through [load_v] keeps the store's generation so the save can
-   prove it has already seen everything on disk — over a legacy v1/v2
-   file that skips the merge re-read the migration would otherwise pay. *)
 let with_store ~strict ?shards store_path k =
   match store_path with
   | None -> k (Fastflip.Store.create ())
   | Some path ->
-    let store, generation =
+    let store =
       if Fastflip.Persist.present ~path then begin
         match Fastflip.Persist.load_v ~path with
-        | Ok
-            { Fastflip.Persist.ld_store = store;
-              ld_skipped = skipped;
-              ld_stale = stale;
-              ld_generation = generation } ->
+        | Ok { Fastflip.Persist.ld_store = store; ld_skipped = skipped; ld_stale = stale } ->
           if skipped > 0 then begin
             if strict then begin
               Printf.eprintf "fastflip: store %s: %d corrupt record(s) refused by --strict-store\n"
@@ -159,19 +152,19 @@ let with_store ~strict ?shards store_path k =
               "warning: store %s: %d record(s) from an older record layout; their sections are recomputed\n"
               path stale;
           Printf.printf "loaded %d section records from %s\n" (Fastflip.Store.size store) path;
-          (store, Some generation)
+          store
         | Error e ->
           if strict then begin
             Printf.eprintf "fastflip: store %s refused by --strict-store: %s\n" path e;
             exit 1
           end;
           Printf.eprintf "ignoring store %s: %s\n" path e;
-          (Fastflip.Store.create (), None)
+          Fastflip.Store.create ()
       end
-      else (Fastflip.Store.create (), None)
+      else Fastflip.Store.create ()
     in
     let result = k store in
-    let stats = Fastflip.Persist.save ?known_generation:generation ?shards store ~path in
+    let stats = Fastflip.Persist.save ?shards store ~path in
     Printf.printf "saved %d section records to %s\n" stats.Fastflip.Persist.sv_live path;
     result
 
@@ -489,7 +482,7 @@ let store_compact_cmd =
   in
   Cmd.v
     (Cmd.info "compact"
-       ~doc:"Rewrite a store down to its live records under the shard locks.               $(b,--shards) reshards to a new layout width; a legacy               FFSTORE1/FFSTORE2 file is migrated to the sharded FFSTORE3 layout.")
+       ~doc:"Rewrite a store down to its live records under the shard locks.               $(b,--shards) reshards to a new layout width; a file in a retired               FFSTORE1/FFSTORE2 container is replaced by an empty FFSTORE3 store.")
     Term.(const run $ store_pos_arg $ shards_arg)
 
 let store_cmd =

@@ -13,10 +13,11 @@ let m_stale = Telemetry.counter "persist.records_stale"
 let m_appends = Telemetry.counter "persist.appends"
 let m_appended = Telemetry.counter "persist.records_appended"
 let m_compactions = Telemetry.counter "persist.compactions"
-let m_migrations = Telemetry.counter "persist.migrations"
-let m_gen_skips = Telemetry.counter "persist.merge_loads_skipped"
 
 let magic_v3 = "FFSTORE3"
+(* Magics of the two retired single-file containers. Their records are
+   all of record layout 1, so such a file is recognised and nothing more:
+   it loads as stale and the next save or compaction replaces it. *)
 let magic_v2 = "FFSTORE2"
 let magic_v1 = "FFSTORE1"
 let magic_shard = "FFSHARD1"
@@ -44,7 +45,7 @@ let read_file path =
   | exception End_of_file -> Error (path ^ ": truncated while reading")
 
 (* First [n] bytes of [path] (fewer if the file is shorter) — enough to
-   classify a store format without reading a possibly-huge legacy file. *)
+   classify a store format without reading the whole file. *)
 let read_prefix path n =
   match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
   | exception Unix.Unix_error (e, _, _) -> Error e
@@ -156,15 +157,16 @@ let has_magic data magic =
   String.length data >= String.length magic
   && String.equal (String.sub data 0 (String.length magic)) magic
 
-type disk_format = D_v3 | D_v2 | D_v1 | D_missing | D_other
+let is_retired data = has_magic data magic_v2 || has_magic data magic_v1
+
+type disk_format = D_v3 | D_retired | D_missing | D_other
 
 let classify path =
   match read_prefix path 8 with
   | Error Unix.ENOENT -> D_missing
   | Error _ -> D_other
   | Ok m when String.equal m magic_v3 -> D_v3
-  | Ok m when String.equal m magic_v2 -> D_v2
-  | Ok m when String.equal m magic_v1 -> D_v1
+  | Ok m when is_retired m -> D_retired
   | Ok _ -> D_other
 
 (* The manifest (the file at [path] itself): magic, then one CRC frame
@@ -218,25 +220,7 @@ let read_manifest path =
   | Ok data when has_magic data magic_v3 -> decode_manifest data
   | Ok _ | Error _ -> None
 
-(* Content version for legacy v1/v2 files: a digest of the file identity
-   (device, inode, size, mtime). Bit 62 is forced so a legacy fingerprint
-   can never collide with the small v3 generation counters. *)
-let legacy_bit = 0x4000_0000_0000_0000L
-
-let legacy_generation path =
-  match Unix.stat path with
-  | exception Unix.Unix_error _ -> 0L
-  | st ->
-    let h = Hashing.create () in
-    Hashing.add_int h st.Unix.st_dev;
-    Hashing.add_int h st.Unix.st_ino;
-    Hashing.add_int h st.Unix.st_size;
-    Hashing.add_float h st.Unix.st_mtime;
-    Int64.logor (Hashing.value h) legacy_bit
-
-let next_generation = function
-  | Some g when g >= 0L && Int64.equal (Int64.logand g legacy_bit) 0L -> Int64.add g 1L
-  | Some _ | None -> 1L
+let next_generation g = if g >= 0L then Int64.add g 1L else 1L
 
 (* --- crash-test hook --------------------------------------------------------- *)
 
@@ -356,53 +340,6 @@ let load_shard store ~index ~declared spath =
 
 (* --- load -------------------------------------------------------------------- *)
 
-let load_v2 data =
-  let frames, frame_skips = Wire.read_frames ~pos:(String.length magic_v2 + 8) data in
-  let store = Store.create () in
-  let entries, decode_skips, stale = decode_payloads frames in
-  List.iter (fun (_, record) -> Store.add_clean store record) entries;
-  (* The declared record count catches what frame CRCs cannot: a clean
-     truncation that removes whole trailing frames. A corrupted count is
-     itself CRC-less, so only trust it when plausible. *)
-  let declared =
-    let c = Wire.cursor ~pos:(String.length magic_v2) data in
-    match Wire.r_length c "record count" with
-    | n -> Some n
-    | exception Wire.Corrupt _ -> None
-  in
-  let skipped = frame_skips + decode_skips in
-  let skipped =
-    match declared with
-    | Some n when n > Store.size store + stale -> max skipped (n - Store.size store - stale)
-    | Some _ | None -> skipped
-  in
-  Ok (store, skipped, stale)
-
-let load_v1 data =
-  let c = Wire.cursor ~pos:(String.length magic_v1) data in
-  match Wire.r_length c "record count" with
-  | exception Wire.Corrupt what -> Error ("corrupt store file: " ^ what)
-  | count ->
-    let store = Store.create () in
-    let corrupt = ref false and stale = ref 0 in
-    (try
-       for _ = 1 to count do
-         Store.add_clean store (Wire.r_record c)
-       done
-     with
-    | Wire.Corrupt _ -> corrupt := true
-    (* v1 records are unframed, so past a stale record there is no
-       telling where the next one starts; one writer wrote them all in
-       one layout, so the rest are stale too. *)
-    | Wire.Stale -> stale := count - Store.size store);
-    let skipped = count - Store.size store - !stale in
-    (* Trailing bytes after a fully-parsed v1 store are corruption too;
-       report them as one skip so [--strict-store] notices. *)
-    let skipped =
-      if (not !corrupt) && !stale = 0 && not (Wire.at_end c) then skipped + 1 else skipped
-    in
-    Ok (store, skipped, !stale)
-
 (* One full decode of whatever sits at [path], shared by [load]/[stat]/
    [compact]. *)
 type scan = {
@@ -442,17 +379,23 @@ let salvage_scan ~manifest_bytes path store =
     sc_skipped = 1 + sum_skips infos;
     sc_stale = sum_stale infos }
 
-let legacy_scan format path data (store, skipped, stale) =
-  let n = Store.size store in
-  { sc_format = format;
-    sc_store = store;
-    sc_generation = legacy_generation path;
-    sc_shards = 1;
-    sc_manifest_bytes = 0;
-    sc_per_shard =
-      [ { sh_index = 0; sh_bytes = String.length data; sh_frames = n;
-          sh_live = n; sh_stale = stale; sh_skipped = skipped } ];
-    sc_skipped = skipped;
+(* A retired FFSTORE1/FFSTORE2 file: a scan that holds nothing. Its
+   records are never decoded; the record count in its header (1 if that
+   is unreadable) is reported as stale, so the load is a warned cold
+   start that [--strict-store] accepts. *)
+let retired_scan data =
+  let stale =
+    match Wire.r_length (Wire.cursor ~pos:8 data) "record count" with
+    | n -> n
+    | exception Wire.Corrupt _ -> 1
+  in
+  { sc_format = String.sub data 0 8;
+    sc_store = Store.create ();
+    sc_generation = 0L;
+    sc_shards = 0;
+    sc_manifest_bytes = String.length data;
+    sc_per_shard = [];
+    sc_skipped = 0;
     sc_stale = stale }
 
 let shard_salvageable path =
@@ -494,12 +437,11 @@ let read_store ~path =
             sc_stale = sum_stale infos }
       | None -> Ok (salvage_scan ~manifest_bytes:(String.length data) path store)
     end
-    else if has_magic data magic_v2 then
-      Result.map (legacy_scan magic_v2 path data) (load_v2 data)
-    else if has_magic data magic_v1 then
-      Result.map (legacy_scan magic_v1 path data) (load_v1 data)
+    (* Shard logs beside a non-v3 manifest mean the manifest's magic was
+       damaged — even into a retired container's magic. *)
     else if shard_salvageable path then
       Ok (salvage_scan ~manifest_bytes:(String.length data) path (Store.create ()))
+    else if is_retired data then Ok (retired_scan data)
     else Error "not a FastFlip store file"
 
 let present ~path = Sys.file_exists path || shard_salvageable path
@@ -508,7 +450,6 @@ type loaded = {
   ld_store : Store.t;
   ld_skipped : int;
   ld_stale : int;
-  ld_generation : int64;
 }
 
 let load_v ~path =
@@ -519,19 +460,9 @@ let load_v ~path =
     Telemetry.add m_loaded (Store.size sc.sc_store);
     Telemetry.add m_skipped sc.sc_skipped;
     Telemetry.add m_stale sc.sc_stale;
-    Ok
-      { ld_store = sc.sc_store;
-        ld_skipped = sc.sc_skipped;
-        ld_stale = sc.sc_stale;
-        ld_generation = sc.sc_generation }
+    Ok { ld_store = sc.sc_store; ld_skipped = sc.sc_skipped; ld_stale = sc.sc_stale }
 
 let load ~path = Result.map (fun ld -> (ld.ld_store, ld.ld_skipped)) (load_v ~path)
-
-let generation ~path =
-  match classify path with
-  | D_v3 -> Some (match read_manifest path with Some mf -> mf.mf_generation | None -> 0L)
-  | D_v2 | D_v1 -> Some (legacy_generation path)
-  | D_missing | D_other -> None
 
 (* --- stat -------------------------------------------------------------------- *)
 
@@ -691,10 +622,11 @@ let save_v3 store ~path (mf0 : manifest) =
             sv_generation = gen })
   end
 
-(* Full-write path: fresh stores, migration from v1/v2, salvage of a
-   store whose manifest was destroyed, and reshards. Writes every shard
-   log of the target layout (so stale logs from a previous layout cannot
-   resurrect deleted records), then declares them in the manifest. *)
+(* Full-write path: fresh stores, replacement of a retired v1/v2 file,
+   salvage of a store whose manifest was destroyed or never written, and
+   reshards. Writes every shard log of the target layout (so stale logs
+   from a previous layout cannot resurrect deleted records), then
+   declares them in the manifest. *)
 let write_full ~path ~shards ~gen records =
   let buckets = Array.make shards [] in
   List.iter
@@ -714,47 +646,29 @@ let write_full ~path ~shards ~gen records =
   with_lock ~lockfile:(path ^ ".lock") (fun () ->
       write_atomic ~path (encode_manifest { mf_shards = shards; mf_generation = gen; mf_frames = frames }))
 
-let save_rebuild ?known_generation ~shards ~lock_hi store ~path =
+(* Merge-don't-clobber: fold in whatever [path] still holds — another
+   writer's records, or the shard logs of a store whose manifest is
+   damaged or was never written — our records winning on collisions. *)
+let save_rebuild ~shards ~lock_hi store ~path =
   with_locks (List.init lock_hi (shard_lockfile path)) @@ fun () ->
   let ours = Store.records store in
-  let disk_state = classify path in
   let records, gen =
-    match disk_state with
-    | D_missing -> (ours, 1L)
-    (* Something unrecognizable at [path]: replace it, as the monolithic
-       writer always did. *)
-    | D_other -> (ours, 1L)
-    | D_v3 | D_v2 | D_v1 ->
-      let disk_gen = generation ~path in
-      if known_generation <> None && known_generation = disk_gen then begin
-        (* The caller proved it has already seen everything on disk —
-           the whole point of the generation hint: skip the merge load. *)
-        Telemetry.incr m_gen_skips;
-        (ours, next_generation disk_gen)
-      end
-      else begin
-        Telemetry.incr m_loads;
-        match read_store ~path with
-        | Error _ -> (ours, 1L)
-        | Ok sc ->
-          (* Merge-don't-clobber: fold in whatever another writer put on
-             disk since we loaded, our records winning on collisions. *)
-          let mine = Hashtbl.create 64 in
-          List.iter
-            (fun (record : Store.section_record) -> Hashtbl.replace mine record.Store.rec_key ())
-            ours;
-          let extra =
-            List.filter
-              (fun (record : Store.section_record) -> not (Hashtbl.mem mine record.Store.rec_key))
-              (Store.records sc.sc_store)
-          in
-          if extra <> [] then Telemetry.add m_merged (List.length extra);
-          (extra @ ours, next_generation (Some sc.sc_generation))
-      end
+    match read_store ~path with
+    | Error _ -> (ours, 1L)
+    | Ok sc ->
+      Telemetry.incr m_loads;
+      let mine = Hashtbl.create 64 in
+      List.iter
+        (fun (record : Store.section_record) -> Hashtbl.replace mine record.Store.rec_key ())
+        ours;
+      let extra =
+        List.filter
+          (fun (record : Store.section_record) -> not (Hashtbl.mem mine record.Store.rec_key))
+          (Store.records sc.sc_store)
+      in
+      if extra <> [] then Telemetry.add m_merged (List.length extra);
+      (extra @ ours, next_generation sc.sc_generation)
   in
-  (match disk_state with
-  | D_v2 | D_v1 -> Telemetry.incr m_migrations
-  | D_v3 | D_missing | D_other -> ());
   write_full ~path ~shards ~gen records;
   Store.clean store records;
   { sv_appended = List.length records;
@@ -762,10 +676,10 @@ let save_rebuild ?known_generation ~shards ~lock_hi store ~path =
     sv_compacted = 0;
     sv_generation = gen }
 
-let save ?known_generation ?(shards = default_shards) store ~path =
+let save ?(shards = default_shards) store ~path =
   check_shards "Persist.save" shards;
   Telemetry.incr m_saves;
-  let rebuild lock_hi = save_rebuild ?known_generation ~shards ~lock_hi store ~path in
+  let rebuild lock_hi = save_rebuild ~shards ~lock_hi store ~path in
   let rec attempt tries =
     match classify path with
     | D_v3 -> (
@@ -782,7 +696,10 @@ let save ?known_generation ?(shards = default_shards) store ~path =
         (* v3 magic but an unreadable manifest frame: rebuild the layout,
            salvaging whatever the shard logs still hold. *)
         rebuild max_shards)
-    | D_v2 | D_v1 | D_missing | D_other -> rebuild shards
+    | D_retired | D_missing | D_other ->
+      (* Shard logs beside a missing or unrecognizable manifest are a
+         crashed writer's: lock every index they may occupy. *)
+      rebuild (if shard_salvageable path then max_shards else shards)
   in
   attempt 4
 
@@ -800,7 +717,7 @@ let compact ?shards ~path () =
   match classify path with
   | D_missing -> Error (path ^ ": no such store")
   | D_other -> Error "not a FastFlip store file"
-  | (D_v3 | D_v2 | D_v1) as format ->
+  | (D_v3 | D_retired) as format ->
     let current =
       match read_manifest path with Some mf -> Some mf.mf_shards | None -> None
     in
@@ -813,7 +730,7 @@ let compact ?shards ~path () =
     let lock_hi =
       match current with
       | Some n -> max n target
-      | None -> ( match format with D_v3 -> max_shards | _ -> target)
+      | None -> if format = D_v3 then max_shards else target
     in
     with_locks (List.init lock_hi (shard_lockfile path)) @@ fun () ->
     (match read_store ~path with
@@ -822,7 +739,7 @@ let compact ?shards ~path () =
       let records = Store.records sc.sc_store in
       let live = List.length records in
       let frames = List.fold_left (fun acc s -> acc + s.sh_frames) 0 sc.sc_per_shard in
-      let gen = next_generation (Some sc.sc_generation) in
+      let gen = next_generation sc.sc_generation in
       write_full ~path ~shards:target ~gen records;
       Telemetry.add m_compactions target;
       Ok
@@ -830,33 +747,6 @@ let compact ?shards ~path () =
           cp_dropped = max 0 (frames - live) + sc.sc_stale;
           cp_shards = target;
           cp_generation = gen })
-
-(* --- legacy writers ----------------------------------------------------------- *)
-
-let encode_v2 store =
-  let records = Store.records store in
-  let buf = Buffer.create (1 lsl 16) in
-  Buffer.add_string buf magic_v2;
-  Wire.w_int buf (List.length records);
-  List.iter
-    (fun record ->
-      let payload = Buffer.create 1024 in
-      Wire.w_record payload record;
-      Wire.add_frame buf (Buffer.contents payload))
-    records;
-  Buffer.contents buf
-
-(* Legacy writers: kept so compatibility fixtures (and downgrade tooling)
-   can produce real FFSTORE1/FFSTORE2 files; [save] always writes v3. *)
-let save_legacy_v2 store ~path = write_atomic ~path (encode_v2 store)
-
-let save_legacy_v1 store ~path =
-  let buf = Buffer.create (1 lsl 16) in
-  Buffer.add_string buf magic_v1;
-  Wire.w_list buf Wire.w_record (Store.records store);
-  let oc = open_out_bin path in
-  Buffer.output_buffer oc buf;
-  close_out oc
 
 (* --- structural equality (tests) --------------------------------------------- *)
 

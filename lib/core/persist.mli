@@ -60,8 +60,16 @@
     against the manifest's declared counts. Compaction drops it. Loads
     count stale records in the [persist.records_stale] counter.
 
-    Legacy [FFSTORE2]/[FFSTORE1] files still load; the first {!save} over
-    one migrates it to v3 in place. *)
+    {2 Retired containers}
+
+    [FFSTORE3] is the only container. A file with the magic of a retired
+    single-file container ([FFSTORE2] or [FFSTORE1]) can only hold
+    layout-1 records, so its records are never decoded: it loads as 0
+    records, [skipped = 0] and the record count in its header as stale (1
+    if that count is unreadable). {!load} and {!stat} leave it
+    untouched; the next {!save} or {!compact} replaces it with a fresh
+    [FFSTORE3] store — a cold start. Shard logs beside such a file win:
+    they mean a v3 manifest whose magic was damaged, and are salvaged. *)
 
 val default_shards : int
 (** Layout width given to newly created stores when [?shards] is omitted
@@ -87,22 +95,18 @@ type save_stats = {
   sv_generation : int64;  (** the store's generation after the save *)
 }
 
-val save : ?known_generation:int64 -> ?shards:int -> Store.t -> path:string -> save_stats
+val save : ?shards:int -> Store.t -> path:string -> save_stats
 (** Persist [store]'s dirty records to the v3 store at [path] and mark
     them clean.
 
     Over an existing v3 store this appends the dirty records to their
     shard logs and bumps the manifest — O(dirty) work; the layout width
-    on disk wins and [?shards] is ignored. A missing [path] creates a
-    fresh [?shards]-wide store (default {!default_shards}) holding every
-    record; a legacy v1/v2 file is migrated: its records are merged in
-    (ours winning on collisions) and the whole store is rewritten as v3.
-
-    [?known_generation] is the caller's proof of freshness: if it equals
-    the current on-disk generation (as returned by {!load_v} or a
-    previous save), the migration path skips re-reading the legacy file
-    it would otherwise have to merge — the daemon's save-on-exit uses
-    this after having loaded the store itself.
+    on disk wins and [?shards] is ignored. Otherwise it writes a fresh
+    [?shards]-wide store (default {!default_shards}) holding every
+    record, merged with whatever {!load} would recover at [path] (ours
+    winning on collisions): the shard logs of a store whose manifest is
+    damaged or was never written are kept, and a retired v1/v2 file or
+    anything unrecognizable is replaced.
 
     Raises [Sys_error] / [Unix.Unix_error] on I/O failure and
     [Invalid_argument] on a [?shards] outside [1, {!max_shards}] — never
@@ -112,13 +116,13 @@ val save : ?known_generation:int64 -> ?shards:int -> Store.t -> path:string -> s
 
 val present : path:string -> bool
 (** Whether there is anything at [path] worth loading: a manifest (or
-    legacy store file), or — after a crash that never reached the first
+    retired v1/v2 file), or — after a crash that never reached the first
     manifest write — recognizable shard logs to salvage. Callers that
     used to gate a load on [Sys.file_exists] should use this instead, or
     a mid-first-save crash looks like a missing store. *)
 
 val load : path:string -> (Store.t * int, string) result
-(** Read the store at [path] (v3, or a legacy v2/v1 file).
+(** Read the store at [path] (v3; a retired v1/v2 file loads empty).
     [Ok (store, skipped)] holds every record that survived CRC and
     structural validation plus the number of corrupt records/regions
     skipped; [skipped = 0] means the store was pristine. [Error] only for
@@ -129,19 +133,13 @@ val load : path:string -> (Store.t * int, string) result
 type loaded = {
   ld_store : Store.t;
   ld_skipped : int;  (** corrupt records/regions, as {!load} reports them *)
-  ld_stale : int;  (** intact records of another layout, left unloaded *)
-  ld_generation : int64;
-      (** pass back to {!save} as [?known_generation]; legacy files report
-          a stat-derived fingerprint that plays the same role *)
+  ld_stale : int;
+      (** intact records of another layout, left unloaded; for a retired
+          v1/v2 file, the record count in its header *)
 }
 
 val load_v : path:string -> (loaded, string) result
-(** {!load}, also reporting the stale-record count and the store's
-    generation. *)
-
-val generation : path:string -> int64 option
-(** The current on-disk generation without reading any records; [None]
-    if [path] is missing or not a store. *)
+(** {!load}, also reporting the stale-record count. *)
 
 (** {1 Inspection and maintenance} *)
 
@@ -155,7 +153,9 @@ type shard_info = {
 }
 
 type info = {
-  st_format : string;  (** ["FFSTORE3"], ["FFSTORE2"] or ["FFSTORE1"] *)
+  st_format : string;
+      (** ["FFSTORE3"], or the magic of a retired file (["FFSTORE2"],
+          ["FFSTORE1"]), which has no shards and only stale records *)
   st_shards : int;
   st_generation : int64;
   st_live : int;
@@ -163,7 +163,7 @@ type info = {
   st_bytes : int;  (** manifest + all logs *)
   st_skipped : int;
   st_stale : int;  (** frames of another record layout awaiting compaction *)
-  st_per_shard : shard_info list;  (** one synthetic entry for legacy files *)
+  st_per_shard : shard_info list;
 }
 
 val stat : path:string -> (info, string) result
@@ -180,21 +180,9 @@ type compact_stats = {
 val compact : ?shards:int -> path:string -> unit -> (compact_stats, string) result
 (** Rewrite the whole store down to its live records, under every shard
     lock. [?shards] reshards to a new layout width; omitted, the current
-    width is kept (legacy input: {!default_shards} — compacting a v1/v2
-    file migrates it). Concurrent readers may transiently over-count
+    width is kept ({!default_shards} when none is readable; a retired
+    v1/v2 file becomes an empty v3 store). Concurrent readers may transiently over-count
     [skipped] during a reshard; they never lose records. *)
-
-(** {1 Legacy writers} *)
-
-val save_legacy_v1 : Store.t -> path:string -> unit
-(** Write the pre-hardening [FFSTORE1] encoding (no framing, no CRC, not
-    atomic). Exists so compatibility fixtures exercise the real legacy
-    format; production code paths always use {!save}. *)
-
-val save_legacy_v2 : Store.t -> path:string -> unit
-(** Write the monolithic [FFSTORE2] encoding (one atomic file of CRC
-    frames). Exists for migration fixtures and the corrupt-store fuzz
-    that targets the v2 salvage path. *)
 
 (** {1 Structural equality (tests)} *)
 

@@ -90,8 +90,7 @@ let backing t =
    [backing], so the lock makes the snapshot consistent. Incremental v3
    saves are O(dirty), so the pause requests can observe is proportional
    to what changed since the last save, not to the store. *)
-let save ?known_generation ?shards t ~path =
-  locked t.store_mu (fun () -> Persist.save ?known_generation ?shards t.e_store ~path)
+let save ?shards t ~path = locked t.store_mu (fun () -> Persist.save ?shards t.e_store ~path)
 
 (* A compile error inside the cache's [compute]: never cached, carries
    the rendered [Frontend.pp_error] text back to the caller. *)

@@ -51,12 +51,7 @@ val store : t -> Fastflip.Store.t
 val cached : t -> int
 (** Completed analyses currently held warm ({!Cache.size}). *)
 
-val save :
-  ?known_generation:int64 ->
-  ?shards:int ->
-  t ->
-  path:string ->
-  Fastflip.Persist.save_stats
+val save : ?shards:int -> t -> path:string -> Fastflip.Persist.save_stats
 (** {!Fastflip.Persist.save} under the store lock, so the dirty-set
     snapshot is consistent with concurrent request threads publishing
     records. Used for the daemon's periodic checkpoints and its

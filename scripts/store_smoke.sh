@@ -5,7 +5,8 @@
 # before the manifest declares it — the worst-timed real kill), then
 # verify the torn store salvages: `store stat` still reads it, and a
 # rerun reuses the salvaged sections and produces an analysis identical
-# to the uninterrupted run. Exercised at 1 and 4 domains.
+# to the uninterrupted run. Exercised at 1 and 4 domains. Finally, a
+# store in a retired FFSTORE2 container must be a warned cold start.
 # Also available as a dune alias: dune build @store-smoke
 set -eu
 
@@ -83,4 +84,25 @@ for j in 1 4; do
   rm -f "$WORK"/ref.store* "$WORK"/crash.store* "$WORK"/*.out "$WORK"/*.norm
 done
 
-echo "store smoke: OK (killed mid-save, salvaged, resumed bit-identical at -j 1 and -j 4)"
+# 6. A store in a retired container (FFSTORE2 magic plus a record count)
+#    is a cold start: --strict-store accepts it, the CLI warns once that
+#    its records are of an older layout, the report matches a run on a
+#    fresh store, and the save replaces it with an FFSTORE3 store.
+ARGS="analyze examples/pipeline.ff --samples 40 -j 1"
+$FASTFLIP $ARGS --store "$WORK/ref.store" >"$WORK/ref.out" 2>/dev/null \
+  || fail "retired: reference run failed"
+printf 'FFSTORE2\003\000\000\000\000\000\000\000' >"$WORK/old.store"
+$FASTFLIP $ARGS --store "$WORK/old.store" --strict-store \
+  >"$WORK/old.out" 2>"$WORK/old.err" || fail "retired: --strict-store refused the store"
+[ "$(grep -c 'older record layout' "$WORK/old.err")" -eq 1 ] \
+  || fail "retired: expected exactly one older-record-layout warning"
+normalize "$WORK/ref.out" >"$WORK/ref.norm"
+normalize "$WORK/old.out" >"$WORK/old.norm"
+diff -u "$WORK/ref.norm" "$WORK/old.norm" \
+  || fail "retired: analysis differs from the fresh-store run"
+$FASTFLIP store stat "$WORK/old.store" >"$WORK/stat3.out" 2>/dev/null \
+  || fail "retired: store stat failed after the save"
+grep -q '^format: *FFSTORE3$' "$WORK/stat3.out" \
+  || fail "retired: the save did not replace the store with FFSTORE3"
+
+echo "store smoke: OK (killed mid-save, salvaged, resumed bit-identical at -j 1 and -j 4; retired store is a cold start)"

@@ -386,28 +386,44 @@ let test_store_counters () =
 
 (* --- crash safety: hardened persistence ----------------------------------- *)
 
-(* One analyzed store and its pristine FFSTORE2 bytes, shared by the
-   corruption tests below (the analysis is the expensive part). The
-   monolithic v2 image keeps this fuzz aimed at the legacy salvage path;
-   the sharded FFSTORE3 layout gets its own fuzz in test_store3.ml. *)
+(* One analyzed store and its pristine 3-shard FFSTORE3 image — the
+   manifest followed by each shard log — shared by the corruption fuzz
+   below (the analysis is the expensive part). *)
+let pristine_shards = 3
+
 let pristine = lazy (
   let store = Store.create () in
   let _ = Pipeline.analyze ~store quick_config (compile program_src) in
   let path = Filename.temp_file "ffstore" ".bin" in
-  Persist.save_legacy_v2 store ~path;
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
   Sys.remove path;
-  (store, data))
+  let _ = Persist.save store ~path ~shards:pristine_shards in
+  let slurp path =
+    let ic = open_in_bin path in
+    let data = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    data
+  in
+  let images = path :: List.init pristine_shards (Persist.shard_path path) in
+  let images = List.map slurp images in
+  (try Sys.remove (path ^ ".lock") with Sys_error _ -> ());
+  for i = 0 to pristine_shards - 1 do
+    try Sys.remove (Persist.shard_path path i ^ ".lock") with Sys_error _ -> ()
+  done;
+  (store, images))
 
-let load_bytes data =
+(* Write [images] (manifest, then shard logs) as a store and load it. *)
+let load_images images =
   let path = Filename.temp_file "fffuzz" ".bin" in
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc;
+  let files = path :: List.init pristine_shards (Persist.shard_path path) in
+  List.iter2
+    (fun file data ->
+      let oc = open_out_bin file in
+      output_string oc data;
+      close_out oc)
+    files images;
   let result = Persist.load ~path in
-  Sys.remove path;
+  List.iter (fun file -> try Sys.remove file with Sys_error _ -> ()) files;
   result
 
 (* Every record a salvaging load returns must be one of the original
@@ -420,67 +436,54 @@ let survivors_intact original loaded =
       | None -> false)
     (Store.records loaded)
 
+(* The mutated byte is drawn from the manifest and shard-log images
+   taken together, so the manifest is fuzzed as well as the logs. *)
 let prop_corrupt_store_salvage =
   QCheck2.Test.make ~count:250
     ~name:"corrupt store: load never raises and survivors are intact"
     QCheck2.Gen.(triple (int_range 0 3) (float_bound_exclusive 1.0) (int_range 0 255))
     (fun (kind, frac, byte) ->
-      let store, data0 = Lazy.force pristine in
-      let n = String.length data0 in
-      let off = min (n - 1) (int_of_float (frac *. float_of_int n)) in
-      let data =
+      let store, images = Lazy.force pristine in
+      let total = List.fold_left (fun acc data -> acc + String.length data) 0 images in
+      let pick = min (total - 1) (int_of_float (frac *. float_of_int total)) in
+      let mutate data off =
+        let n = String.length data in
         match kind with
         | 0 ->
           (* flip bits of one byte *)
-          let b = Bytes.of_string data0 in
+          let b = Bytes.of_string data in
           Bytes.set b off
             (Char.chr (Char.code (Bytes.get b off) lxor (1 + (byte mod 255))));
           Bytes.to_string b
-        | 1 -> String.sub data0 0 off (* truncate *)
+        | 1 -> String.sub data 0 off (* truncate *)
         | 2 ->
           (* zero out a 24-byte run *)
-          let b = Bytes.of_string data0 in
+          let b = Bytes.of_string data in
           for i = off to min (n - 1) (off + 23) do
             Bytes.set b i '\000'
           done;
           Bytes.to_string b
         | _ ->
           (* splice garbage into the middle *)
-          String.sub data0 0 off
+          String.sub data 0 off
           ^ String.make 5 (Char.chr byte)
-          ^ String.sub data0 off (n - off)
+          ^ String.sub data off (n - off)
       in
-      match load_bytes data with
+      let images, _ =
+        List.fold_left
+          (fun (acc, base) data ->
+            let n = String.length data in
+            let data = if pick >= base && pick < base + n then mutate data (pick - base) else data in
+            (data :: acc, base + n))
+          ([], 0) images
+      in
+      match load_images (List.rev images) with
       | Error _ -> true (* header destroyed: refusing the file outright is fine *)
       | Ok (loaded, skipped) ->
         Store.size loaded <= Store.size store
         (* losing a record silently is the one unforgivable outcome *)
         && (Store.size loaded = Store.size store || skipped > 0)
         && survivors_intact store loaded)
-
-let test_persist_v1_compat () =
-  let store, _ = Lazy.force pristine in
-  let path = Filename.temp_file "ffv1" ".bin" in
-  Persist.save_legacy_v1 store ~path;
-  (match Persist.load ~path with
-  | Error e -> Alcotest.failf "v1 load failed: %s" e
-  | Ok (loaded, skipped) ->
-    Alcotest.(check int) "nothing skipped" 0 skipped;
-    Alcotest.(check int) "all records load" (Store.size store) (Store.size loaded);
-    Alcotest.(check bool) "records intact" true (survivors_intact store loaded));
-  (* v1 has no framing, so a truncated file salvages the record prefix. *)
-  let ic = open_in_bin path in
-  let data = really_input_string ic (in_channel_length ic - 10) in
-  close_in ic;
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc;
-  (match Persist.load ~path with
-  | Error e -> Alcotest.failf "truncated v1 should salvage: %s" e
-  | Ok (loaded, skipped) ->
-    Alcotest.(check bool) "truncation reported" true (skipped > 0);
-    Alcotest.(check bool) "prefix intact" true (survivors_intact store loaded));
-  Sys.remove path
 
 let test_persist_concurrent_writers_merge () =
   (* Two processes sharing a store path must union their records, not
@@ -673,7 +676,7 @@ let test_crash_safety_counters_in_metrics () =
       "persist.records_loaded"; "persist.records_skipped";
       "persist.saves.merged_records"; "persist.appends";
       "persist.records_appended"; "persist.compactions";
-      "persist.merge_loads_skipped";
+      "persist.records_stale";
     ]
 
 (* --- adjust / compare --------------------------------------------------------- *)
@@ -761,7 +764,6 @@ let () =
       ( "crash safety",
         [
           QCheck_alcotest.to_alcotest prop_corrupt_store_salvage;
-          Alcotest.test_case "FFSTORE1 compat" `Quick test_persist_v1_compat;
           Alcotest.test_case "concurrent writers merge" `Quick
             test_persist_concurrent_writers_merge;
           Alcotest.test_case "kill and resume is bit-identical" `Quick

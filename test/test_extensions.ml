@@ -292,18 +292,21 @@ let test_persist_rejects_garbage () =
   | Error _ -> ()
 
 let test_persist_salvages_truncation () =
-  (* FFSTORE2 salvage: chopping the tail loses at most the records whose
-     frames were damaged — [load] succeeds, reports the damage, and every
-     surviving record is intact. *)
+  (* Shard-log salvage: chopping a log's tail loses at most the records
+     whose frames were damaged — [load] succeeds, reports the damage, and
+     every surviving record is intact. One shard keeps every record in
+     the log that is cut. *)
   let store = Store.create () in
   let _ = Pipeline.analyze ~store quick_config (compile chain_src) in
   let path = Filename.temp_file "ffstore" ".bin" in
-  Persist.save_legacy_v2 store ~path;
-  let ic = open_in_bin path in
+  Sys.remove path;
+  let _ = Persist.save store ~path ~shards:1 in
+  let log = Persist.shard_path path 0 in
+  let ic = open_in_bin log in
   let n = in_channel_length ic in
   let data = really_input_string ic (n - 16) in
   close_in ic;
-  let oc = open_out_bin path in
+  let oc = open_out_bin log in
   output_string oc data;
   close_out oc;
   (match Persist.load ~path with
@@ -320,7 +323,9 @@ let test_persist_salvages_truncation () =
           Alcotest.(check bool) "survivor intact" true
             (Persist.roundtrip_equal original r))
       (Store.records loaded));
-  Sys.remove path
+  List.iter
+    (fun file -> try Sys.remove file with Sys_error _ -> ())
+    [ path; path ^ ".lock"; log; log ^ ".lock" ]
 
 (* --- evolution --------------------------------------------------------------------- *)
 

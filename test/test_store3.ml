@@ -1,8 +1,7 @@
-(* FFSTORE3 sharded-store tests: layout and placement, O(dirty)
-   incremental saves, legacy migration differentials, per-shard
-   corruption salvage, compaction, and multi-domain writers racing a
-   reader. The legacy monolithic salvage paths keep their own coverage
-   in test_core.ml / test_extensions.ml. *)
+(* FFSTORE3 sharded-store tests: the record codec and stale records
+   (including retired FFSTORE1/FFSTORE2 files), layout and placement,
+   O(dirty) incremental saves, per-shard corruption salvage, compaction,
+   and multi-domain writers racing a reader. *)
 
 module Site = Ff_inject.Site
 module Campaign = Ff_inject.Campaign
@@ -384,6 +383,37 @@ let write_layout1_v3 records ~path =
     end
   done
 
+(* A retired FFSTORE1/FFSTORE2 file is left byte-identical by [load_v]
+   and [stat]; the next save replaces it with an FFSTORE3 store holding
+   only the new records. *)
+let check_retired_file_replaced ~name ~path (ld : Persist.loaded) =
+  let before = slurp path in
+  (match Persist.stat ~path with
+  | Error e -> Alcotest.failf "%s: stat failed: %s" name e
+  | Ok info ->
+    Alcotest.(check int) (name ^ ": stat: stale") 7 info.Persist.st_stale;
+    Alcotest.(check int) (name ^ ": stat: no live records") 0 info.Persist.st_live;
+    Alcotest.(check int) (name ^ ": stat: nothing skipped") 0 info.Persist.st_skipped);
+  Alcotest.(check bool) (name ^ ": load and stat leave the file alone") true
+    (String.equal before (slurp path));
+  let fresh = [ mk_record 100; mk_record 101 ] in
+  List.iter (Store.add ld.Persist.ld_store) fresh;
+  let s = Persist.save ld.Persist.ld_store ~path in
+  Alcotest.(check int) (name ^ ": the save writes only the new records") 2
+    s.Persist.sv_appended;
+  (match Persist.stat ~path with
+  | Error e -> Alcotest.failf "%s: stat after save failed: %s" name e
+  | Ok info ->
+    Alcotest.(check string) (name ^ ": replaced by") "FFSTORE3" info.Persist.st_format;
+    Alcotest.(check int) (name ^ ": only the new records") 2 info.Persist.st_live;
+    Alcotest.(check int) (name ^ ": no stale frames left") 0 info.Persist.st_stale);
+  match Persist.load ~path with
+  | Error e -> Alcotest.failf "%s: reload failed: %s" name e
+  | Ok (loaded, skipped) ->
+    Alcotest.(check int) (name ^ ": reload pristine") 0 skipped;
+    Alcotest.(check int) (name ^ ": reload size") 2 (Store.size loaded);
+    check_records_match ~msg:(name ^ ": after replacement") fresh loaded
+
 let test_layout1_stores_load_stale () =
   let stale_counter = Telemetry.counter "persist.records_stale" in
   let was_enabled = Telemetry.enabled () in
@@ -394,6 +424,7 @@ let test_layout1_stores_load_stale () =
     (fun (name, write) ->
       with_temp_store @@ fun path ->
       write records ~path;
+      let before = slurp path in
       let stale0 = Telemetry.value stale_counter in
       match Persist.load_v ~path with
       | Error e -> Alcotest.failf "%s: load failed: %s" name e
@@ -402,7 +433,12 @@ let test_layout1_stores_load_stale () =
         Alcotest.(check int) (name ^ ": nothing skipped") 0 ld.Persist.ld_skipped;
         Alcotest.(check int) (name ^ ": all stale") 7 ld.Persist.ld_stale;
         Alcotest.(check int) (name ^ ": persist.records_stale") 7
-          (Telemetry.value stale_counter - stale0))
+          (Telemetry.value stale_counter - stale0);
+        if name <> "v3" then begin
+          Alcotest.(check bool) (name ^ ": load leaves the file alone") true
+            (String.equal before (slurp path));
+          check_retired_file_replaced ~name ~path ld
+        end)
     [ ("v3", write_layout1_v3); ("v2", write_layout1_v2); ("v1", write_layout1_v1) ]
 
 let test_stale_store_stat_load_save () =
@@ -547,46 +583,23 @@ let test_save_is_o_dirty () =
   Alcotest.(check int) "replacement appends one" 1 s4.Persist.sv_appended;
   match Persist.load ~path with
   | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok (loaded, skipped) ->
+  | Ok (loaded, skipped) -> (
     Alcotest.(check int) "pristine" 0 skipped;
     Alcotest.(check int) "size" 23 (Store.size loaded);
-    check_records_match ~msg:"delta log" (Store.records store) loaded
+    check_records_match ~msg:"delta log" (Store.records store) loaded;
+    (* The daemon's flow: a loaded store is clean, so accumulating on it
+       and saving appends only the new records and keeps the union. *)
+    List.iter (Store.add loaded) [ mk_record 30; mk_record 31 ];
+    let s5 = Persist.save loaded ~path in
+    Alcotest.(check int) "loaded store appends only its additions" 2 s5.Persist.sv_appended;
+    match Persist.load ~path with
+    | Error e -> Alcotest.failf "reload failed: %s" e
+    | Ok (union, skipped) ->
+      Alcotest.(check int) "reload pristine" 0 skipped;
+      Alcotest.(check int) "union size" 25 (Store.size union);
+      check_records_match ~msg:"load, add, save" (Store.records loaded) union)
 
-(* --- migration ------------------------------------------------------------- *)
-
-let test_migration_differential () =
-  let store = Store.create () in
-  let _ = Pipeline.analyze ~store quick_config (compile program_src) in
-  List.iter (Store.add store) (List.init 10 (fun i -> mk_record (100 + i)));
-  List.iter
-    (fun (name, write_legacy) ->
-      with_temp_store @@ fun path ->
-      write_legacy store ~path;
-      match Persist.load_v ~path with
-      | Error e -> Alcotest.failf "%s: load failed: %s" name e
-      | Ok { Persist.ld_store = loaded; ld_skipped = skipped; ld_generation = gen; _ } ->
-        Alcotest.(check int) (name ^ ": fixture pristine") 0 skipped;
-        Alcotest.(check int) (name ^ ": fixture size") (Store.size store)
-          (Store.size loaded);
-        (* The first save migrates in place; the generation hint proves
-           we just loaded the file, so no merge re-read is needed. *)
-        let s = Persist.save ~known_generation:gen loaded ~path in
-        Alcotest.(check int) (name ^ ": migration rewrites everything")
-          (Store.size store) s.Persist.sv_appended;
-        (match Persist.stat ~path with
-        | Error e -> Alcotest.failf "%s: stat failed: %s" name e
-        | Ok info ->
-          Alcotest.(check string) (name ^ ": migrated format") "FFSTORE3"
-            info.Persist.st_format);
-        (match Persist.load ~path with
-        | Error e -> Alcotest.failf "%s: reload failed: %s" name e
-        | Ok (re, skipped2) ->
-          Alcotest.(check int) (name ^ ": reload pristine") 0 skipped2;
-          Alcotest.(check int) (name ^ ": reload size") (Store.size store)
-            (Store.size re);
-          check_records_match ~msg:(name ^ ": bit-identical after migration")
-            (Store.records store) re))
-    [ ("FFSTORE1", Persist.save_legacy_v1); ("FFSTORE2", Persist.save_legacy_v2) ]
+(* --- analysis through the store ------------------------------------------ *)
 
 let selection_equal a b =
   let sa = Pipeline.select a ~target:0.9 and sb = Pipeline.select b ~target:0.9 in
@@ -607,25 +620,15 @@ let check_bit_identical ~msg (a : Pipeline.analysis) (b : Pipeline.analysis) =
     (a.Pipeline.valuation.Valuation.values = b.Pipeline.valuation.Valuation.values);
   Alcotest.(check bool) (msg ^ ": knapsack selection") true (selection_equal a b)
 
-let test_pipeline_bit_identity_across_formats () =
-  (* The acceptance contract: an analysis served from a migrated
-     FFSTORE2 fixture and one served from a fresh FFSTORE3 store are
-     bit-identical to the from-scratch reference. *)
+let test_pipeline_bit_identity_v3 () =
+  (* The acceptance contract: an analysis served from a saved and
+     reloaded FFSTORE3 store is bit-identical to the from-scratch
+     reference. *)
   with_temp_store @@ fun path ->
   let program = compile program_src in
   let store = Store.create () in
   let reference = Pipeline.analyze ~store quick_config program in
-  Persist.save_legacy_v2 store ~path;
-  (match Persist.load ~path with
-  | Error e -> Alcotest.failf "v2 fixture load failed: %s" e
-  | Ok (v2_store, _) ->
-    let from_v2 = Pipeline.analyze ~store:v2_store quick_config program in
-    Alcotest.(check int) "v2 fixture: everything reused" 0
-      from_v2.Pipeline.sections_analyzed;
-    check_bit_identical ~msg:"FFSTORE2 fixture" reference from_v2;
-    (* Migrate to the sharded format and go around once more. *)
-    let _ = Persist.save v2_store ~path in
-    ());
+  let _ = Persist.save store ~path in
   match Persist.load ~path with
   | Error e -> Alcotest.failf "v3 load failed: %s" e
   | Ok (v3_store, skipped) ->
@@ -633,28 +636,7 @@ let test_pipeline_bit_identity_across_formats () =
     let from_v3 = Pipeline.analyze ~store:v3_store quick_config program in
     Alcotest.(check int) "v3 store: everything reused" 0
       from_v3.Pipeline.sections_analyzed;
-    check_bit_identical ~msg:"migrated FFSTORE3" reference from_v3
-
-let test_generation_hint_daemon_flow () =
-  (* The daemon's save-on-exit over a legacy store: load (capturing the
-     generation), accumulate, save with the hint. The hint skips the
-     merge re-read; no record may be lost for it. *)
-  with_temp_store @@ fun path ->
-  let origin = Store.create () in
-  List.iter (Store.add origin) (List.init 6 mk_record);
-  Persist.save_legacy_v2 origin ~path;
-  match Persist.load_v ~path with
-  | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok { Persist.ld_store = mine; ld_generation = gen; _ } ->
-    List.iter (Store.add mine) [ mk_record 100; mk_record 101 ];
-    let s = Persist.save ~known_generation:gen mine ~path in
-    Alcotest.(check int) "migration writes the union" 8 s.Persist.sv_appended;
-    match Persist.load ~path with
-    | Error e -> Alcotest.failf "reload failed: %s" e
-    | Ok (loaded, skipped) ->
-      Alcotest.(check int) "pristine" 0 skipped;
-      Alcotest.(check int) "union size" 8 (Store.size loaded);
-      check_records_match ~msg:"hinted migration" (Store.records mine) loaded
+    check_bit_identical ~msg:"FFSTORE3" reference from_v3
 
 (* --- corruption ------------------------------------------------------------ *)
 
@@ -745,15 +727,19 @@ let test_manifest_corruption_salvages_from_shards () =
     Alcotest.(check bool) "damage reported" true (skipped > 0);
     Alcotest.(check int) "every record salvaged" 12 (Store.size loaded);
     check_records_match ~msg:"torn manifest" records loaded);
-  (* Destroy the magic outright: the shard logs still identify
-     themselves, so the store remains loadable. *)
-  spit path ("XXXXXXXX" ^ String.sub manifest 8 (String.length manifest - 8));
-  match Persist.load ~path with
-  | Error e -> Alcotest.failf "destroyed manifest should salvage: %s" e
-  | Ok (loaded, skipped) ->
-    Alcotest.(check bool) "damage reported" true (skipped > 0);
-    Alcotest.(check int) "every record salvaged" 12 (Store.size loaded);
-    check_records_match ~msg:"destroyed manifest" records loaded
+  (* Destroy the magic outright, or flip it into a retired container's
+     magic: the shard logs still identify themselves, so the store
+     remains loadable. *)
+  List.iter
+    (fun magic ->
+      spit path (magic ^ String.sub manifest 8 (String.length manifest - 8));
+      match Persist.load ~path with
+      | Error e -> Alcotest.failf "%s manifest should salvage: %s" magic e
+      | Ok (loaded, skipped) ->
+        Alcotest.(check bool) (magic ^ ": damage reported") true (skipped > 0);
+        Alcotest.(check int) (magic ^ ": every record salvaged") 12 (Store.size loaded);
+        check_records_match ~msg:(magic ^ " manifest") records loaded)
+    [ "XXXXXXXX"; "FFSTORE2"; "FFSTORE1" ]
 
 let test_missing_manifest_salvages_from_shards () =
   (* A writer SIGKILLed between its first shard write and the first
@@ -780,6 +766,29 @@ let test_missing_manifest_salvages_from_shards () =
   match Persist.load ~path:empty with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a path with no files at all should not load"
+
+let test_fresh_save_keeps_orphaned_logs () =
+  (* A writer killed before its first manifest write leaves only shard
+     logs. A later writer that never loaded them — a daemon started
+     cold, say — must merge them into its first save, not overwrite
+     them. *)
+  with_temp_store @@ fun path ->
+  let orphaned = List.init 9 mk_record in
+  let first = Store.create () in
+  List.iter (Store.add first) orphaned;
+  let _ = Persist.save first ~path ~shards:4 in
+  Sys.remove path;
+  let fresh = List.init 5 (fun i -> mk_record (200 + i)) in
+  let second = Store.create () in
+  List.iter (Store.add second) fresh;
+  let _ = Persist.save second ~path in
+  match Persist.load ~path with
+  | Error e -> Alcotest.failf "reload failed: %s" e
+  | Ok (loaded, skipped) ->
+    Alcotest.(check int) "reload pristine" 0 skipped;
+    Alcotest.(check int) "the union" 14 (Store.size loaded);
+    check_records_match ~msg:"orphaned logs" orphaned loaded;
+    check_records_match ~msg:"fresh records" fresh loaded
 
 (* --- compaction ------------------------------------------------------------ *)
 
@@ -940,14 +949,8 @@ let () =
           Alcotest.test_case "sharded layout and stat" `Quick
             test_sharded_layout_and_stat;
           Alcotest.test_case "save is O(dirty)" `Quick test_save_is_o_dirty;
-        ] );
-      ( "migration",
-        [
-          Alcotest.test_case "v1/v2 differential" `Quick test_migration_differential;
-          Alcotest.test_case "pipeline bit-identity across formats" `Quick
-            test_pipeline_bit_identity_across_formats;
-          Alcotest.test_case "generation hint daemon flow" `Quick
-            test_generation_hint_daemon_flow;
+          Alcotest.test_case "pipeline bit-identity through v3" `Quick
+            test_pipeline_bit_identity_v3;
         ] );
       ( "corruption",
         [
@@ -956,6 +959,8 @@ let () =
             test_manifest_corruption_salvages_from_shards;
           Alcotest.test_case "missing manifest salvages from shards" `Quick
             test_missing_manifest_salvages_from_shards;
+          Alcotest.test_case "fresh save keeps orphaned shard logs" `Quick
+            test_fresh_save_keeps_orphaned_logs;
         ] );
       ( "compaction",
         [
