@@ -248,6 +248,9 @@ type vm_result = {
   vm_boxed : engine_timing;
   vm_unboxed : engine_timing;
   vm_identical : bool;
+  vm_sens_boxed_s : float;
+  vm_sens_unboxed_s : float;
+  vm_sens_identical : bool;
 }
 
 let vm_result : vm_result option ref = ref None
@@ -256,7 +259,8 @@ let print_vm config =
   (* Full injection campaigns over every LUD section, serially, once per
      engine: the replay loop is exactly the campaign hot path, so
      instructions/s and replays/s compare the engines end to end (decode,
-     workspace reset, execution, classification). Identity of the two
+     workspace reset, execution, classification). Then the same for the
+     sensitivity estimate of every section. Identity of each pair of
      result arrays is checked and fatal on divergence. *)
   let bench = Option.get (Registry.find "LUD") in
   let program = Ff_lang.Frontend.compile_exn (bench.Defs.source Defs.V_none) in
@@ -284,17 +288,39 @@ let print_vm config =
      of scheduler noise (observed >30% run-to-run swing for identical
      code); interleaving exposes both engines to the same interference
      and the minimum is the least-perturbed execution of each. *)
-  let reps = 9 in
-  let best_boxed = ref infinity and best_unboxed = ref infinity in
-  let boxed_results = ref [||] and unboxed_results = ref [||] in
-  for _ = 1 to reps do
-    let rb, sb = wall (fun () -> campaign Ff_vm.Replay.Boxed) in
-    if sb < !best_boxed then best_boxed := sb;
-    boxed_results := rb;
-    let ru, su = wall (fun () -> campaign Ff_vm.Replay.Unboxed) in
-    if su < !best_unboxed then best_unboxed := su;
-    unboxed_results := ru
-  done;
+  let interleaved run =
+    let reps = 9 in
+    let best_boxed = ref infinity and best_unboxed = ref infinity in
+    let boxed_results = ref None and unboxed_results = ref None in
+    for _ = 1 to reps do
+      let rb, sb = wall (fun () -> run Ff_vm.Replay.Boxed) in
+      if sb < !best_boxed then best_boxed := sb;
+      boxed_results := Some rb;
+      let ru, su = wall (fun () -> run Ff_vm.Replay.Unboxed) in
+      if su < !best_unboxed then best_unboxed := su;
+      unboxed_results := Some ru
+    done;
+    (Option.get !boxed_results, !best_boxed, Option.get !unboxed_results, !best_unboxed)
+  in
+  let boxed_results, best_boxed, unboxed_results, best_unboxed = interleaved campaign in
+  (* The sensitivity row: every LUD section's estimate, same seed per
+     engine, so K, work and the buffer index arrays must agree exactly.
+     It runs the default sample count even in quick mode: at the quick
+     config's 60 samples the timed window is ~7 ms, too short for
+     best-of-9 to settle on a shared host. *)
+  let sensitivity engine =
+    Array.init (Array.length golden.Ff_vm.Golden.sections) (fun i ->
+        Ff_sensitivity.Sensitivity.estimate ~engine
+          ~samples:Pipeline.default_config.Pipeline.sensitivity_samples
+          ~max_perturbation:config.Pipeline.max_perturbation
+          ~safety_factor:config.Pipeline.safety_factor
+          ~rng:(Ff_support.Rng.create (Int64.of_int i))
+          golden ~section_index:i)
+  in
+  ignore (sensitivity Ff_vm.Replay.Boxed);
+  ignore (sensitivity Ff_vm.Replay.Unboxed);
+  let sens_boxed, sens_boxed_s, sens_unboxed, sens_unboxed_s = interleaved sensitivity in
+  let sens_identical = same sens_boxed sens_unboxed in
   let timing_of results seconds =
     let work = Array.fold_left (fun acc r -> acc + r.Campaign.s_work) 0 results in
     let replays =
@@ -307,11 +333,19 @@ let print_vm config =
         (if seconds > 0.0 then float_of_int replays /. seconds else 0.0);
     }
   in
-  let boxed_results = !boxed_results and unboxed_results = !unboxed_results in
-  let boxed = timing_of boxed_results !best_boxed in
-  let unboxed = timing_of unboxed_results !best_unboxed in
+  let boxed = timing_of boxed_results best_boxed in
+  let unboxed = timing_of unboxed_results best_unboxed in
   let identical = same boxed_results unboxed_results in
-  vm_result := Some { vm_boxed = boxed; vm_unboxed = unboxed; vm_identical = identical };
+  vm_result :=
+    Some
+      {
+        vm_boxed = boxed;
+        vm_unboxed = unboxed;
+        vm_identical = identical;
+        vm_sens_boxed_s = sens_boxed_s;
+        vm_sens_unboxed_s = sens_unboxed_s;
+        vm_sens_identical = sens_identical;
+      };
   let t =
     Ff_support.Table.create ~title:"LUD (V_none): boxed vs unboxed engine, full campaign"
       [
@@ -335,7 +369,13 @@ let print_vm config =
   Printf.printf "campaign speedup (unboxed/boxed): %.2fx, identical: %b\n%!"
     (if unboxed.e_seconds > 0.0 then boxed.e_seconds /. unboxed.e_seconds else 0.0)
     identical;
-  if not identical then begin
+  Printf.printf
+    "sensitivity over every section: boxed %.3f s, unboxed %.3f s, speedup %.2fx, \
+     identical: %b\n%!"
+    sens_boxed_s sens_unboxed_s
+    (if sens_unboxed_s > 0.0 then sens_boxed_s /. sens_unboxed_s else 0.0)
+    sens_identical;
+  if not (identical && sens_identical) then begin
     prerr_endline "FATAL: unboxed engine diverged from the boxed oracle";
     exit 1
   end
@@ -354,15 +394,21 @@ let emit_vm_json () =
         "    %S: { \"seconds\": %.6f, \"instr_per_sec\": %.1f, \"replays_per_sec\": %.1f }"
         name e.e_seconds e.e_instr_per_sec e.e_replays_per_sec
     in
+    let sens_speedup =
+      if r.vm_sens_unboxed_s > 0.0 then r.vm_sens_boxed_s /. r.vm_sens_unboxed_s else 0.0
+    in
     let oc = open_out "BENCH_vm.json" in
     Printf.fprintf oc
       "{\n  \"engines\": {\n%s,\n%s\n  },\n  \"campaign_speedup\": %.3f,\n  \
-       \"identical\": %b\n}\n"
+       \"sensitivity\": { \"boxed_seconds\": %.6f, \"unboxed_seconds\": %.6f, \
+       \"identical\": %b },\n  \"sensitivity_speedup\": %.3f,\n  \"identical\": %b\n}\n"
       (engine "boxed" r.vm_boxed)
       (engine "unboxed" r.vm_unboxed)
-      speedup r.vm_identical;
+      speedup r.vm_sens_boxed_s r.vm_sens_unboxed_s r.vm_sens_identical sens_speedup
+      r.vm_identical;
     close_out oc;
-    Printf.printf "wrote BENCH_vm.json (speedup %.2fx)\n%!" speedup
+    Printf.printf "wrote BENCH_vm.json (campaign speedup %.2fx, sensitivity speedup %.2fx)\n%!"
+      speedup sens_speedup
 
 (* --- static outcome prover: prune ratio and end-to-end speedup ---------- *)
 

@@ -253,14 +253,19 @@ let analyze_cmd =
       metrics every resume no_prove model =
     let config = config_of ~epsilon ~model ?safety_factor ~bits ~samples ~no_prove () in
     let program = compile_file path in
-    let analysis =
+    (* Rendered inside the metrics scope, so the render's span is
+       exported; printed after it, below the telemetry line. *)
+    let report =
       with_metrics metrics (fun () ->
-          with_jobs jobs (fun pool ->
-              with_checkpoint ~store_path ~every ~resume (fun checkpoint ->
-                  with_store ~strict ?shards store_path (fun store ->
-                      Pipeline.analyze ~store ~pool ?checkpoint config program))))
+          let analysis =
+            with_jobs jobs (fun pool ->
+                with_checkpoint ~store_path ~every ~resume (fun checkpoint ->
+                    with_store ~strict ?shards store_path (fun store ->
+                        Pipeline.analyze ~store ~pool ?checkpoint config program)))
+          in
+          Ff_serve.Report.analysis ~target analysis)
     in
-    print_string (Ff_serve.Report.analysis ~target analysis)
+    print_string report
   in
   Cmd.v
     (Cmd.info "analyze"

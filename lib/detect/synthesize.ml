@@ -24,21 +24,6 @@ type t = {
   work : int;
 }
 
-(* ε-perturbation of one entry element, mirroring the sensitivity
-   estimator's benign model: floats move by a signed δ ≤ max_perturbation
-   (never exactly 0), ints by ±max(1, round max_perturbation). *)
-let perturb_element rng max_perturbation arr i =
-  match arr.(i) with
-  | Value.Float x ->
-    let delta = ref (Rng.float_signed rng max_perturbation) in
-    if !delta = 0.0 then delta := max_perturbation;
-    arr.(i) <- Value.Float (x +. !delta)
-  | Value.Int x ->
-    let range = Int64.to_int (Int64.of_float (Float.max 1.0 (Float.round max_perturbation))) in
-    let delta = ref (Rng.int rng ((2 * range) + 1) - range) in
-    if !delta = 0 then delta := 1;
-    arr.(i) <- Value.Int (Int64.add x (Int64.of_int !delta))
-
 (* One benign run: perturb one readable buffer of the section's entry
    state (single element, a random subset, or all elements), execute the
    section, and return the post-exec state together with the perturbed
@@ -61,23 +46,12 @@ let run_benign rng golden ~max_perturbation ~section_index
     let target = state.(inputs.(Rng.int rng (Array.length inputs))) in
     let n = Array.length target in
     if n > 0 then
-      match Rng.int rng 3 with
-      | 0 -> perturb_element rng max_perturbation target (Rng.int rng n)
-      | 1 ->
-        let count = 1 + Rng.int rng (max 1 (n / 2)) in
-        for _ = 1 to count do
-          perturb_element rng max_perturbation target (Rng.int rng n)
-        done
-      | _ ->
-        for e = 0 to n - 1 do
-          perturb_element rng max_perturbation target e
-        done
+      Sensitivity.perturb_buffer rng n
+        (Sensitivity.perturb_element rng max_perturbation target)
   end;
   let in_sums = Array.map (fun i -> (i, Detector.sum state.(i))) inputs in
   let buffers = Array.map (fun (idx, _) -> state.(idx)) section.Golden.bindings in
-  let budget =
-    max 16 (int_of_float (ceil (5.0 *. float_of_int section.Golden.dyn_count)))
-  in
+  let budget = Ff_vm.Replay.budget_of ~timeout_factor:5.0 section.Golden.dyn_count in
   let run =
     Machine.exec section.Golden.kernel ~scalars:section.Golden.scalars ~buffers ~budget ()
   in

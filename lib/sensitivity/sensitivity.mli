@@ -32,6 +32,7 @@ val estimate :
   ?max_perturbation:float ->
   ?safety_factor:float ->
   ?pool:Ff_support.Pool.t ->
+  ?engine:Ff_vm.Replay.engine ->
   rng:Ff_support.Rng.t ->
   Ff_vm.Golden.t ->
   section_index:int ->
@@ -42,7 +43,29 @@ val estimate :
     The sample loop runs in fixed-size chunks, each seeded from [rng]'s
     next output combined with the (input, chunk) index — never from the
     scheduling — so the estimate is identical for every [pool] width
-    (including no pool). [rng] advances exactly once per call. *)
+    (including no pool). [rng] advances exactly once per call.
+
+    [engine] (default {!Ff_vm.Replay.default_engine}) picks how each
+    sample runs. [Unboxed] resets this domain's replay
+    {!Ff_vm.Workspace} by a blit of the section's bound buffers, perturbs
+    the input words in place and runs {!Ff_vm.Unboxed}; [Boxed], the
+    oracle that [FF_ENGINE=boxed] selects, deep-copies the entry state
+    and runs {!Ff_vm.Machine}. Both draw the same random numbers in the
+    same order and measure distances bit for bit alike, so the result —
+    [k], [work] and {!spec_hash} — never depends on the engine. *)
+
+val perturb_element :
+  Ff_support.Rng.t -> float -> Ff_ir.Value.t array -> int -> unit
+(** [perturb_element rng max_perturbation buf i] nudges [buf.(i)] in
+    place by the estimator's benign model: a float by a signed
+    δ ≤ [max_perturbation] (never exactly 0), an int by a nonzero offset
+    in ±[max 1 (round max_perturbation)]. *)
+
+val perturb_buffer : Ff_support.Rng.t -> int -> (int -> unit) -> unit
+(** [perturb_buffer rng n perturb] applies [perturb] to one element, a
+    random subset (repeats possible), or all elements of an [n]-element
+    buffer, the three perturbation shapes of §5.6. Detector synthesis
+    draws its benign runs with it and {!perturb_element}. *)
 
 val amplification : t -> output:int -> input:int -> float
 (** K for a (program-buffer, program-buffer) pair; 0 when the output does

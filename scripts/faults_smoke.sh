@@ -5,7 +5,9 @@
 # bitflip and require byte identity (the "default model is the old
 # behaviour" acceptance check); and run the default model on the boxed
 # oracle engine (FF_ENGINE=boxed) against the unboxed engine and
-# require byte identity. Also available as a dune alias:
+# require byte identity. FF_ENGINE selects the engine of both the
+# replays and the sensitivity samples, so step 3 covers both. Also
+# available as a dune alias:
 # dune build @faults-smoke
 set -eu
 
@@ -49,7 +51,9 @@ diff -u "$WORK/default.out" "$WORK/bitflip.j1" >&2 \
 
 # 3. The boxed oracle must agree with the unboxed engine under the
 #    non-register models too (skip exercises the Oskip path, opcode the
-#    re-dispatch path, memflip the entry-state path).
+#    re-dispatch path, memflip the entry-state path). The sensitivity
+#    estimates, and so the report's K values and "work" line, come from
+#    the same engine.
 for model in bitflip skip opcode memflip; do
   tag=$(echo "$model" | tr ':' '_')
   FF_ENGINE=boxed $FASTFLIP $ARGS --fault-model "$model" -j 2 \

@@ -410,6 +410,91 @@ let test_workspace_reuse_is_stateless () =
   Alcotest.(check bool) "same result after scratch reuse" true
     (Stdlib.compare first again = 0)
 
+(* --- sensitivity estimate ---------------------------------------------------- *)
+
+module Sensitivity = Ff_sensitivity.Sensitivity
+module Registry = Ff_benchmarks.Registry
+module Defs = Ff_benchmarks.Defs
+
+let check_same_estimate label (b : Sensitivity.t) (u : Sensitivity.t) =
+  let ints = Alcotest.(array int) in
+  Alcotest.check ints (label ^ " input buffers") b.Sensitivity.input_buffers
+    u.Sensitivity.input_buffers;
+  Alcotest.check ints (label ^ " output buffers") b.Sensitivity.output_buffers
+    u.Sensitivity.output_buffers;
+  Alcotest.(check int) (label ^ " work") b.Sensitivity.work u.Sensitivity.work;
+  Alcotest.(check int) (label ^ " samples used") b.Sensitivity.samples_used
+    u.Sensitivity.samples_used;
+  let bits k = Array.map (Array.map Int64.bits_of_float) k in
+  Alcotest.(check (array (array int64))) (label ^ " K bits") (bits b.Sensitivity.k)
+    (bits u.Sensitivity.k)
+
+let estimate_on engine ?pool ~samples g i =
+  Sensitivity.estimate ~engine ?pool ~samples ~rng:(Ff_support.Rng.create 11L) g
+    ~section_index:i
+
+let test_sensitivity_parity_benchmarks () =
+  List.iter
+    (fun (bench : Defs.t) ->
+      let g = Golden.run (compile (bench.Defs.source Defs.V_none)) in
+      List.iter
+        (fun width ->
+          Pool.with_pool ~domains:width @@ fun pool ->
+          Array.iteri
+            (fun i _ ->
+              let label = Printf.sprintf "%s s%d w%d" bench.Defs.name i width in
+              check_same_estimate label
+                (estimate_on Replay.Boxed ~pool ~samples:60 g i)
+                (estimate_on Replay.Unboxed ~pool ~samples:60 g i))
+            g.Golden.sections)
+        [ 1; 2 ])
+    Registry.all
+
+(* The kernels test_sensitivity pins K on, through both engines: a
+   perturbation that traps (K = ∞), a branch it flips, an integer
+   avalanche and an inout buffer perturbed directly. *)
+let test_sensitivity_parity_kernels () =
+  let cases =
+    [
+      ( "trap",
+        {|buffer a : int[1] = { 1000 };
+output buffer res : float[1] = zeros;
+kernel poke(in a: int[], out res: float[]) { res[a[0] - 1000] = 1.0; }
+schedule { call poke(a, res); }|},
+        Some infinity );
+      ( "divergence",
+        {|buffer a : float[1] = { 0.5 };
+output buffer res : float[1] = zeros;
+kernel step(in a: float[], out res: float[]) {
+  if (a[0] > 0.5) { res[0] = 100.0; } else { res[0] = 0.0; }
+}
+schedule { call step(a, res); }|},
+        None );
+      ( "avalanche",
+        {|buffer a : int[1] = { 1000 };
+output buffer res : int[1] = zeros;
+kernel mulbig(in a: int[], out res: int[]) { res[0] = a[0] * 4096; }
+schedule { call mulbig(a, res); }|},
+        None );
+      ( "inout",
+        {|output buffer acc : float[4] = { 0.1, 0.2, 0.3, 0.4 };
+kernel bump(inout acc: float[]) { acc[0] = acc[0] + 1.0; }
+schedule { call bump(acc); }|},
+        None );
+    ]
+  in
+  List.iter
+    (fun (label, src, expect) ->
+      let g = Golden.run (compile src) in
+      let b = estimate_on Replay.Boxed ~samples:150 g 0 in
+      let u = estimate_on Replay.Unboxed ~samples:150 g 0 in
+      check_same_estimate label b u;
+      Option.iter
+        (fun k ->
+          Alcotest.(check (float 0.0)) (label ^ " K") k u.Sensitivity.k.(0).(0))
+        expect)
+    cases
+
 (* --- decode validation ----------------------------------------------------- *)
 
 let test_decode_validation () =
@@ -486,6 +571,13 @@ let () =
             test_final_outcomes_classes_reuse;
           Alcotest.test_case "workspace reuse is stateless" `Quick
             test_workspace_reuse_is_stateless;
+        ] );
+      ( "sensitivity",
+        [
+          Alcotest.test_case "benchmarks, pool widths 1 and 2" `Quick
+            test_sensitivity_parity_benchmarks;
+          Alcotest.test_case "trap, divergence, avalanche, inout" `Quick
+            test_sensitivity_parity_kernels;
         ] );
       ( "decode",
         [
