@@ -1,23 +1,31 @@
-type t = { mutable state : int64 }
+(* The state is one 64-bit cell of a bytes buffer, read and written with
+   the 64-bit bytes primitives, which ocamlopt compiles to plain loads and
+   stores: a [mutable int64] record field would allocate a fresh box on
+   every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix state
 
 let split t =
   let seed = int64 t in
-  { state = mix (Int64.logxor seed 0xA5A5A5A5A5A5A5A5L) }
+  create (mix (Int64.logxor seed 0xA5A5A5A5A5A5A5A5L))
 
 let bits t n =
   if n <= 0 then 0L
@@ -31,7 +39,7 @@ let int t bound =
   let raw = Int64.to_int (int64 t) land max_int in
   raw mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits -> [0, 1), scaled. *)
   let mantissa = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   mantissa /. 9007199254740992.0 *. bound

@@ -19,6 +19,24 @@ let test_rng_deterministic () =
     Alcotest.(check int64) "same stream" (Rng.int64 a) (Rng.int64 b)
   done
 
+(* The stream is pinned: every seeded analysis, store record and report
+   depends on it. Seed 0 gives the published SplitMix64 reference
+   outputs; the derived draws pin [int], [float_signed] and [split]. *)
+let test_rng_known_stream () =
+  let r = Rng.create 0L in
+  List.iter
+    (fun want -> Alcotest.(check int64) "SplitMix64 seed 0" want (Rng.int64 r))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+  let r = Rng.create 42L in
+  Alcotest.(check (list int)) "int" [ 605; 291; 954 ]
+    (List.map (fun _ -> Rng.int r 1000) [ 1; 2; 3 ]);
+  List.iter
+    (fun want ->
+      Alcotest.(check int64) "float_signed bits" (Int64.bits_of_float want)
+        (Int64.bits_of_float (Rng.float_signed r 0.01)))
+    [ -0x1.9871d713e8866p-9; -0x1.2ec1ad2db7995p-7 ];
+  Alcotest.(check int64) "split" 0x47E2C9FDC4E45636L (Rng.int64 (Rng.split r))
+
 let test_rng_seed_sensitivity () =
   let a = Rng.create 1L and b = Rng.create 2L in
   Alcotest.(check bool) "different seeds differ" false
@@ -461,6 +479,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
+          Alcotest.test_case "known stream" `Quick test_rng_known_stream;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int covers range" `Quick test_rng_int_covers_range;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
