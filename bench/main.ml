@@ -791,8 +791,9 @@ let dr_saving r =
 
 let print_detect config =
   (* Detector synthesis + injection-measured coverage + mixed knapsack on
-     the two benchmarks where shared detectors are economical, at the
-     paper's 0.9 protection target. The gates: the serial and pooled
+     the two benchmarks where shared detectors are economical, plus LUD,
+     whose coverage components span several sections, at the paper's 0.9
+     protection target. The gates: the serial and pooled
      protect runs must be byte-identical (report and Pareto JSON), the
      surviving detectors must have fired zero times on benign validation
      runs, and on at least one benchmark the mixed selection must reach
@@ -841,7 +842,7 @@ let print_detect config =
           dr_identical = identical;
           dr_serial_s = serial_s;
         })
-      [ "Campipe"; "BScholes" ]
+      [ "Campipe"; "BScholes"; "LUD" ]
   in
   detect_rows := rows;
   let t =

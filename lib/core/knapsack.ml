@@ -39,9 +39,9 @@ let prepare items =
 (* The DP over the cost axis. Before item i, best.(c) is exact for c up
    to the running cost total; every cost past it buys all earlier items,
    so those cells are filled forward with the running value total before
-   item i's pass. With [~record], item i's take row covers costs up to
-   the new running total. *)
-let dp ~record items =
+   item i's pass. Item i's take row covers costs up to the new running
+   total. *)
+let dp items =
   let total_cost = Array.fold_left (fun acc item -> acc + item.cost) 0 items in
   let best = Array.make (total_cost + 1) 0 in
   let bound = ref 0 and running_value = ref 0 and take_bytes = ref 0 in
@@ -52,7 +52,7 @@ let dp ~record items =
         bound := prev + item.cost;
         Array.fill best (prev + 1) item.cost !running_value;
         running_value := !running_value + item.value;
-        let row = if record then Bytes.make ((!bound lsr 3) + 1) '\000' else Bytes.empty in
+        let row = Bytes.make ((!bound lsr 3) + 1) '\000' in
         take_bytes := !take_bytes + Bytes.length row;
         (* the hot loop: item.cost >= 1 and bound <= total_cost keep both
            indices inside best *)
@@ -60,7 +60,7 @@ let dp ~record items =
           let candidate = Array.unsafe_get best (c - item.cost) + item.value in
           if candidate > Array.unsafe_get best c then begin
             Array.unsafe_set best c candidate;
-            if record then bit_set row c
+            bit_set row c
           end
         done;
         row)
@@ -73,7 +73,7 @@ let dp ~record items =
   Telemetry.observe h_dp_cells (total_cost + 1);
   { items; best; take; total_value = !running_value }
 
-let solve items = Telemetry.span "knapsack.solve" @@ fun () -> dp ~record:true (prepare items)
+let solve items = Telemetry.span "knapsack.solve" @@ fun () -> dp (prepare items)
 
 let max_value s = s.total_value
 
@@ -119,18 +119,12 @@ let select s ~target =
    cost c (a cheaper one would make best increase earlier) and value
    best.(c) (the most that cost buys), which is what lets a caller
    reconstruct a frontier point with [select ~target:value]. *)
-let points_of_best best =
+let points s =
   let pts = ref [] in
-  for c = Array.length best - 1 downto 1 do
-    if best.(c) > best.(c - 1) then pts := (best.(c), c) :: !pts
+  for c = Array.length s.best - 1 downto 1 do
+    if s.best.(c) > s.best.(c - 1) then pts := (s.best.(c), c) :: !pts
   done;
   (0, 0) :: !pts
-
-let points s = points_of_best s.best
-
-let frontier items =
-  Telemetry.span "knapsack.solve" @@ fun () ->
-  points_of_best (dp ~record:false (prepare items)).best
 
 let items_of_valuation (valuation : Valuation.t) =
   List.map

@@ -44,14 +44,9 @@ val points : solution -> (int * int) list
 (** The achievable (value, min-cost) frontier of the DP, ascending and
     strictly increasing in both coordinates, starting at [(0, 0)]. Each
     pair is achieved exactly — [select ~target:value] reconstructs the
-    selection behind it at the stated cost. This is the per-solution
-    Pareto front the mixed duplication-vs-detector optimizer merges
-    across detector subsets. *)
-
-val frontier : item list -> (int * int) list
-(** [points (solve items)] without building the take table: O(Σcost)
-    memory. For callers that only compare frontiers and reconstruct at
-    most one selection afterwards. *)
+    selection behind it at the stated cost. The pure-duplication
+    baseline the mixed duplication-vs-detector front is compared
+    against. *)
 
 val items_of_valuation : Valuation.t -> item list
 (** One item per pc that has any SDC-Bad value. *)

@@ -6,6 +6,7 @@ module Pool = Ff_support.Pool
 module Telemetry = Ff_support.Telemetry
 
 let m_candidates = Telemetry.counter "detect.select.candidates"
+let m_components = Telemetry.counter "detect.select.components"
 let m_subsets = Telemetry.counter "detect.select.subsets"
 let m_front = Telemetry.counter "detect.select.front_points"
 
@@ -62,11 +63,172 @@ let subset_base classes detectors ~mask =
     classes;
   (!base_value, !base_cost)
 
-let build ?(pool = Pool.serial) ?(max_detectors = 8) (valuation : Valuation.t) coverages =
+(* The DP carries one int per cost: value·2^21 − (popcount·2^16 + mask).
+   The larger key ranks first — higher value, then fewer detectors, then
+   lower mask — and all three terms add up over disjoint components, so
+   the winning mask decodes from the key of its cost alone. *)
+let key_shift = 21
+
+let decode key =
+  let value = (key + (1 lsl key_shift) - 1) asr key_shift in
+  (value, ((value lsl key_shift) - key) land 0xFFFF)
+
+(* Connected components of the detector↔pc coverage graph, as detector
+   masks: detectors that catch classes at a common pc share one. Each
+   component comes with its pcs' items in ascending cost, which keeps the
+   bounded item loops short. Components come largest first, so their
+   2^k-subset passes run while the cost axis is still short; the pcs no
+   candidate touches come last, as component 0 with one pass. *)
+let components items n classes =
+  let at_pc = Hashtbl.create 64 in
+  Array.iter
+    (fun (pc, _, gmask) ->
+      Hashtbl.replace at_pc pc
+        (gmask lor Option.value ~default:0 (Hashtbl.find_opt at_pc pc)))
+    classes;
+  let masks =
+    Hashtbl.fold
+      (fun _ m comps ->
+        let touching, apart = List.partition (fun c -> c land m <> 0) comps in
+        List.fold_left ( lor ) 0 touching :: apart)
+      at_pc
+      (List.init n (fun i -> 1 lsl i))
+    |> List.sort (fun a b -> compare (popcount b, a) (popcount a, b))
+  in
+  let items_of c =
+    List.filter
+      (fun (it : Knapsack.item) ->
+        let m = Option.value ~default:0 (Hashtbl.find_opt at_pc it.Knapsack.pc) in
+        it.Knapsack.value > 0 && if c = 0 then m = 0 else m land c <> 0)
+      items
+    |> List.stable_sort (fun (a : Knapsack.item) b -> compare a.Knapsack.cost b.Knapsack.cost)
+  in
+  List.map (fun c -> (c, items_of c)) (masks @ [ 0 ])
+
+let submasks c =
+  let rec go s acc = if s = 0 then 0 :: acc else go ((s - 1) land c) (s :: acc) in
+  Array.of_list (go c [])
+
+(* One subset's pass over the cost axis: [prev] (exact up to [bound])
+   shifted by the subset's cost and key, then the 0-1 item loop over its
+   component's pcs at their residual values, each bounded by the running
+   cost total as in {!Knapsack}. Cells past the running total hold its
+   value; cells below the subset's cost stay [min_int] and are never
+   read by the item loop. *)
+let subset_pass detectors classes items ~prev ~bound ~dst mask =
+  let value, cost = subset_base classes detectors ~mask in
+  let key = (value lsl key_shift) - ((popcount mask lsl 16) + mask) in
+  Array.fill dst 0 cost min_int;
+  for c = 0 to bound do
+    Array.unsafe_set dst (cost + c) (Array.unsafe_get prev c + key)
+  done;
+  let running = ref (cost + bound) in
+  List.iter
+    (fun (it : Knapsack.item) ->
+      if it.Knapsack.value > 0 then begin
+        let w = it.Knapsack.cost and gain = it.Knapsack.value lsl key_shift in
+        Array.fill dst (!running + 1) w dst.(!running);
+        running := !running + w;
+        for c = !running downto cost + w do
+          let candidate = Array.unsafe_get dst (c - w) + gain in
+          if candidate > Array.unsafe_get dst c then Array.unsafe_set dst c candidate
+        done
+      end)
+    (adjusted_items items classes ~mask);
+  Array.fill dst (!running + 1) (Array.length dst - 1 - !running) dst.(!running)
+
+let max_into acc src =
+  for c = 0 to Array.length src - 1 do
+    let v = Array.unsafe_get src c in
+    if v > Array.unsafe_get acc c then Array.unsafe_set acc c v
+  done
+
+(* One component: the pointwise max over its subset passes, split into
+   one contiguous run of subsets per pool domain. The max is order-free,
+   so the result does not depend on the width. *)
+let component_pass pool detectors classes (c, items) ~prev ~bound =
+  let next =
+    bound
+    + snd (subset_base classes detectors ~mask:c)
+    + List.fold_left (fun acc (it : Knapsack.item) -> acc + it.Knapsack.cost) 0 items
+  in
+  let subsets = submasks c in
+  let n = Array.length subsets in
+  let runs = min n (Pool.domains pool) in
+  let run r =
+    let acc = Array.make (next + 1) 0 and dst = Array.make (next + 1) 0 in
+    let lo = r * n / runs and hi = (r + 1) * n / runs in
+    subset_pass detectors classes items ~prev ~bound ~dst:acc subsets.(lo);
+    for i = lo + 1 to hi - 1 do
+      subset_pass detectors classes items ~prev ~bound ~dst subsets.(i);
+      max_into acc dst
+    done;
+    acc
+  in
+  let parts = Pool.map_array ~chunk:1 pool run (Array.init runs Fun.id) in
+  for r = 1 to runs - 1 do
+    max_into parts.(0) parts.(r)
+  done;
+  (parts.(0), next, n)
+
+let of_classes ?(pool = Pool.serial) items detectors classes =
+  let n = Array.length detectors in
+  if n > 16 then invalid_arg "Select.of_classes: at most 16 candidate detectors";
+  let total_value =
+    List.fold_left (fun acc (it : Knapsack.item) -> acc + it.Knapsack.value) 0 items
+  in
+  let class_value = Array.fold_left (fun acc (_, size, _) -> acc + size) 0 classes in
+  if total_value + class_value > max_int asr (key_shift + 1) then
+    invalid_arg "Select.of_classes: values too large for the tie-break key";
+  let pure = Knapsack.solve items in
+  let components = components items n classes in
+  let best, bound, subsets =
+    List.fold_left
+      (fun (prev, bound, subsets) component ->
+        let next, bound, k = component_pass pool detectors classes component ~prev ~bound in
+        (next, bound, subsets + k))
+      ([| 0 |], 0, 0) components
+  in
+  (* a front point wherever the best value strictly rises along the cost
+     axis; its mask's own covered value splits off the residual target *)
+  let base = Hashtbl.create 16 in
+  let base_value mask =
+    match Hashtbl.find_opt base mask with
+    | Some v -> v
+    | None ->
+      let v = fst (subset_base classes detectors ~mask) in
+      Hashtbl.replace base mask v;
+      v
+  in
+  let front = ref [] and last = ref (-1) in
+  for c = 0 to bound do
+    let value, mask = decode best.(c) in
+    if value > !last then begin
+      last := value;
+      front :=
+        { p_value = value; p_cost = c; p_mask = mask; p_dup_value = value - base_value mask }
+        :: !front
+    end
+  done;
+  let front = Array.of_list (List.rev !front) in
+  Telemetry.add m_candidates n;
+  Telemetry.add m_components (List.length components - 1);
+  Telemetry.add m_subsets subsets;
+  Telemetry.add m_front (Array.length front);
+  {
+    t_detectors = detectors;
+    t_covered = Array.init n (fun i -> base_value (1 lsl i));
+    t_classes = classes;
+    t_total_value = total_value;
+    t_items = items;
+    t_pure = pure;
+    t_front = front;
+  }
+
+let build ?pool ?(max_detectors = 8) (valuation : Valuation.t) coverages =
   Telemetry.span "detect.select" @@ fun () ->
   if max_detectors < 0 || max_detectors > 16 then
     invalid_arg "Select.build: max_detectors must be in [0, 16]";
-  let items = Knapsack.items_of_valuation valuation in
   (* rank (covered desc, section asc, local index asc), cap the pool *)
   let ranked =
     List.sort
@@ -88,8 +250,6 @@ let build ?(pool = Pool.serial) ?(max_detectors = 8) (valuation : Valuation.t) c
     Array.of_list
       (List.filteri (fun i _ -> i < max_detectors) ranked)
   in
-  let detectors = Array.map (fun (_, _, _, d) -> d) chosen in
-  let covered = Array.map (fun (cov, _, _, _) -> cov) chosen in
   (* remap each caught class's local fired mask onto the global pool *)
   let classes =
     Array.of_list
@@ -108,60 +268,9 @@ let build ?(pool = Pool.serial) ?(max_detectors = 8) (valuation : Valuation.t) c
              (Array.to_list c.Coverage.c_classes))
          coverages)
   in
-  let n = Array.length detectors in
-  let pure = Knapsack.solve items in
-  (* each subset's residual frontier, points only, in mask order *)
-  let frontiers =
-    Pool.map_array pool
-      (fun mask ->
-        if mask = 0 then Knapsack.points pure
-        else Knapsack.frontier (adjusted_items items classes ~mask))
-      (Array.init (1 lsl n) Fun.id)
-  in
-  (* Pareto merge in one pass over cost. At each cost only the first
-     candidate in a total order can join the front: higher value, then
-     fewer detectors, then lower mask, then smaller residual target. *)
-  let rank p = (-p.p_value, popcount p.p_mask, p.p_mask, p.p_dup_value) in
-  let max_cost =
-    Array.fold_left (fun acc (d : Detector.t) -> acc + d.Detector.d_cost) 0 detectors
-    + List.fold_left (fun acc (it : Knapsack.item) -> acc + it.Knapsack.cost) 0 items
-  in
-  let at_cost = Array.make (max_cost + 1) None in
-  Array.iteri
-    (fun mask points ->
-      let base_value, base_cost = subset_base classes detectors ~mask in
-      List.iter
-        (fun (v, c) ->
-          let p =
-            { p_value = base_value + v; p_cost = base_cost + c; p_mask = mask; p_dup_value = v }
-          in
-          match at_cost.(p.p_cost) with
-          | Some q when compare (rank q) (rank p) <= 0 -> ()
-          | _ -> at_cost.(p.p_cost) <- Some p)
-        points)
-    frontiers;
-  let front = ref [] in
-  let best = ref (-1) in
-  Array.iter
-    (function
-      | Some p when p.p_value > !best ->
-        best := p.p_value;
-        front := p :: !front
-      | _ -> ())
-    at_cost;
-  let front = Array.of_list (List.rev !front) in
-  Telemetry.add m_candidates n;
-  Telemetry.add m_subsets (1 lsl n);
-  Telemetry.add m_front (Array.length front);
-  {
-    t_detectors = detectors;
-    t_covered = covered;
-    t_classes = classes;
-    t_total_value = valuation.Valuation.total_value;
-    t_items = items;
-    t_pure = pure;
-    t_front = front;
-  }
+  of_classes ?pool (Knapsack.items_of_valuation valuation)
+    (Array.map (fun (_, _, _, d) -> d) chosen)
+    classes
 
 type selection = {
   sel_detectors : Detector.t array;

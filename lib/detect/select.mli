@@ -8,19 +8,29 @@
     both, with the duplication value credited only for sites the
     detectors miss.
 
-    The optimizer decomposes over detector subsets [D] of a small global
-    candidate pool (the top-covering detectors, default ≤ 8, so ≤ 256
-    subsets): for a fixed [D] the best duplication set is an ordinary
-    0-1 knapsack over residual values [v(pc) − cov_D(pc)], and every
-    (value, cost) frontier point of every subset competes in one global
-    Pareto filter. The empty subset's frontier {e is} the pure-
-    duplication frontier, so with detectors disabled the mixed answer
-    degenerates to the paper's knapsack exactly. Each subset needs only
-    its points ({!Fastflip.Knapsack.frontier}, no take table); the
-    subsets fan out over a pool and are merged in mask order, and only
-    the subset a selection lands on is re-solved with take bits. Fully
-    deterministic: no randomness, and the same result at any pool
-    width. *)
+    The front is the one over every subset [D] of a small global
+    candidate pool (the top-covering detectors, default ≤ 8): for a
+    fixed [D] the best duplication set is a 0-1 knapsack over residual
+    values [v(pc) − cov_D(pc)]. A pc's residual depends only on the
+    detectors that catch one of its classes, so the pool splits into the
+    connected components of the detector↔pc coverage graph, and the
+    optimizer composes them: one DP over the cost axis starts from
+    nothing, and each component replaces it by the pointwise max, over
+    its own 2^k subsets, of the array shifted by the subset's detector
+    cost and covered value and then run through that component's pcs at
+    their residual values; the pcs no candidate touches come last, as a
+    component with no detectors. That is Σ 2^k short item loops instead
+    of 2^n knapsacks over every pc, and the front is the same.
+
+    Each cell carries [value·2^21 − (popcount·2^16 + mask)]: the larger
+    key wins, i.e. higher value, then fewer detectors, then lower mask,
+    and all three terms add up over disjoint components. Each front
+    point's mask, and from it its residual target, decodes from its key
+    alone. The empty subset reproduces pure duplication, so with
+    detectors disabled the mixed answer degenerates to the paper's
+    knapsack exactly. A component's subsets fan out over a pool; the
+    max is order-free, so the result is the same at any pool width.
+    Only the subset a selection lands on is re-solved with take bits. *)
 
 type point = {
   p_value : int;  (** protected SDC-Bad sites (detector-covered + duplicated) *)
@@ -52,8 +62,23 @@ val build :
     measurements (any order; sections without measurements simply
     contribute no detectors). Candidates are ranked by sites covered
     (ties: section, then local index) and capped at [max_detectors]
-    (default 8, hard limit 16 — subset enumeration is 2^n). The subset
-    frontiers run on [pool] (default {!Ff_support.Pool.serial}). *)
+    (default 8, hard limit 16: a component of k candidates costs 2^k
+    passes, and the tie-break key holds a 16-bit mask). Each component's
+    subsets run on [pool] (default {!Ff_support.Pool.serial}). *)
+
+val of_classes :
+  ?pool:Ff_support.Pool.t ->
+  Fastflip.Knapsack.item list ->
+  Detector.t array ->
+  (Ff_inject.Site.pc * int * int) array ->
+  t
+(** The selection over an explicit candidate pool, the pure core
+    {!build} calls after ranking and capping: duplication [items], the
+    pool's detectors, and [(pc, class size, detector mask)] per caught
+    class, bit [i] of a mask naming [detectors.(i)]. [t_covered] and
+    [t_total_value] are derived from the classes and items. Raises
+    [Invalid_argument] for more than 16 detectors, or for values whose
+    sum overflows the tie-break key. *)
 
 type selection = {
   sel_detectors : Detector.t array;

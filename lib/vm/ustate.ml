@@ -18,15 +18,17 @@ type bits = (int64, Bigarray.int64_elt, Bigarray.c_layout) A1.t
 (* Sound because float64 and int64 cells have identical size and layout,
    and every access site fixes its kind statically; the runtime kind flag
    is only consulted by polymorphic-kind operations, which we never use
-   on a reinterpreted view. *)
-let as_bits : words -> bits = Obj.magic
+   on a reinterpreted view. Both this and [dim] are primitives, so the
+   engine's buffer accesses inline them even across an opaque module
+   boundary. *)
+external as_bits : words -> bits = "%identity"
 
 let make_words n : words =
   let w = A1.create Bigarray.Float64 Bigarray.C_layout n in
   A1.fill w 0.0;
   w
 
-let dim = A1.dim
+external dim : words -> int = "%caml_ba_dim_1"
 
 let tag_int = '\000'
 let tag_float = '\001'

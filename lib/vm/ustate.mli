@@ -13,15 +13,18 @@
 type words = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type bits = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-val as_bits : words -> bits
+external as_bits : words -> bits = "%identity"
 (** The same memory viewed as int64 — no copy, no conversion. Sound
     because both kinds are plain 8-byte cells and every access site
-    fixes its kind statically. *)
+    fixes its kind statically. Declared as a primitive so callers
+    inline it rather than call through the module. *)
 
 val make_words : int -> words
 (** A fresh zero-filled word array. *)
 
-val dim : words -> int
+external dim : words -> int = "%caml_ba_dim_1"
+(** Element count, as {!Bigarray.Array1.dim}; a primitive, inlined at
+    every call site. *)
 
 val tag_int : char
 val tag_float : char

@@ -199,15 +199,17 @@ gate_detect() {
   if ! grep -q '"detector_win": true' "$f"; then
     violation "$f: detectors never beat pure duplication at the target on any benchmark"
   fi
-  # Subset selection solves 2^n knapsacks over the cost axis: the slowest
-  # serial protect run (Campipe) takes ~0.7 s, and ~13-22 s with the
-  # value-indexed DP, so the ceiling sits between with ~6x headroom.
+  # Subset selection runs one group DP over the coverage components,
+  # 2^k component-local subsets each, instead of 2^n knapsacks over every
+  # pc: the slowest serial protect run (LUD) takes ~0.12 s on a 2-core
+  # host, where the full enumeration took ~0.6 s on Campipe alone and
+  # ~1 s on LUD's selection, so the ceiling keeps ~5x headroom.
   worst=$(sed -n 's/.*"serial_s"[[:space:]]*:[[:space:]]*\([0-9][0-9.eE+-]*\).*/\1/p' "$f" |
     sort -g | tail -n 1)
   if [ -z "$worst" ]; then
     violation "$f: malformed, no numeric \"serial_s\""
-  elif ! awk -v v="$worst" "BEGIN { exit !(v <= 4.0) }"; then
-    violation "$f: slowest serial protect run takes $worst s, ceiling is <= 4.0"
+  elif ! awk -v v="$worst" "BEGIN { exit !(v <= 0.6) }"; then
+    violation "$f: slowest serial protect run takes $worst s, ceiling is <= 0.6"
   fi
 }
 

@@ -251,6 +251,158 @@ let prop_knapsack_points_exact =
         pts;
       true)
 
+(* --- exact against the 2^n subset enumeration ---------------------------- *)
+
+(* The reference selection: one residual knapsack per detector subset,
+   its frontier shifted by the subset's own cost and covered value, and
+   one merge over cost that keeps, at each cost, the first candidate in
+   the order (higher value, fewer detectors, lower mask, smaller residual
+   target), then sweeps out the strictly improving points. *)
+let popcount m =
+  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
+  go m 0
+
+let reference_residual items classes ~mask =
+  List.map
+    (fun (it : Knapsack.item) ->
+      let caught =
+        Array.fold_left
+          (fun acc (pc, size, gmask) ->
+            if pc = it.Knapsack.pc && gmask land mask <> 0 then acc + size else acc)
+          0 classes
+      in
+      { it with Knapsack.value = max 0 (it.Knapsack.value - caught) })
+    items
+
+let reference_base (detectors : Detector.t array) classes ~mask =
+  let value =
+    Array.fold_left
+      (fun acc (_, size, gmask) -> if gmask land mask <> 0 then acc + size else acc)
+      0 classes
+  in
+  let cost = ref 0 in
+  Array.iteri
+    (fun i (d : Detector.t) ->
+      if mask land (1 lsl i) <> 0 then cost := !cost + d.Detector.d_cost)
+    detectors;
+  (value, !cost)
+
+let reference_front items detectors classes =
+  let rank (p : Select.point) =
+    (-p.Select.p_value, popcount p.Select.p_mask, p.Select.p_mask, p.Select.p_dup_value)
+  in
+  let at_cost = Hashtbl.create 64 in
+  for mask = 0 to (1 lsl Array.length detectors) - 1 do
+    let base_value, base_cost = reference_base detectors classes ~mask in
+    List.iter
+      (fun (v, c) ->
+        let p =
+          {
+            Select.p_value = base_value + v;
+            p_cost = base_cost + c;
+            p_mask = mask;
+            p_dup_value = v;
+          }
+        in
+        match Hashtbl.find_opt at_cost p.Select.p_cost with
+        | Some q when compare (rank q) (rank p) <= 0 -> ()
+        | _ -> Hashtbl.replace at_cost p.Select.p_cost p)
+      (Knapsack.points (Knapsack.solve (reference_residual items classes ~mask)))
+  done;
+  let best = ref (-1) in
+  Hashtbl.fold (fun _ p acc -> p :: acc) at_cost []
+  |> List.sort (fun a b -> compare a.Select.p_cost b.Select.p_cost)
+  |> List.filter (fun p ->
+         p.Select.p_value > !best
+         && begin
+           best := p.Select.p_value;
+           true
+         end)
+  |> Array.of_list
+
+let reference_selection items detectors classes front ~target =
+  let total =
+    List.fold_left (fun acc (it : Knapsack.item) -> acc + it.Knapsack.value) 0 items
+  in
+  let target = max 0 (min target total) in
+  let p =
+    match List.find_opt (fun p -> p.Select.p_value >= target) (Array.to_list front) with
+    | Some p -> p
+    | None -> front.(Array.length front - 1)
+  in
+  let mask = p.Select.p_mask in
+  let dup =
+    Knapsack.select
+      (Knapsack.solve (reference_residual items classes ~mask))
+      ~target:p.Select.p_dup_value
+  in
+  let base_value, base_cost = reference_base detectors classes ~mask in
+  (mask, dup, base_value + dup.Knapsack.value, base_cost + dup.Knapsack.cost)
+
+(* A synthetic selection instance from a seed: up to 10 detectors,
+   classes whose masks span one to three detectors, and costs and sizes
+   drawn from small ranges so equal costs and equal covered sizes — the
+   popcount and mask tie-breaks — are common. [groups] = 1 draws every
+   class mask from all detectors (one coverage component, mostly);
+   larger values confine each pc's classes to one block of detectors. *)
+let synthetic_instance seed =
+  let st = Random.State.make [| seed |] in
+  let int bound = Random.State.int st bound in
+  let n = int 11 in
+  let blocks = 1 + int (max n 1) in
+  let detectors =
+    Array.init n (fun i ->
+        {
+          Detector.d_section = i;
+          d_buffer = 0;
+          d_form = Detector.Finite;
+          d_cost = 1 + int 3;
+        })
+  in
+  let items =
+    List.init
+      (1 + int 12)
+      (fun i ->
+        let pc = { Site.kernel = i mod 3; instr = i } in
+        { Knapsack.pc; value = int 7; cost = 1 + int 4 })
+  in
+  (* each pc's classes draw their detectors from one block *)
+  let classes_at (it : Knapsack.item) =
+    let b = int blocks in
+    let block = Array.of_list (List.filter (fun i -> i mod blocks = b) (List.init n Fun.id)) in
+    List.init (int 4) (fun _ ->
+        let mask = ref 0 in
+        if Array.length block > 0 then
+          for _ = 0 to int 3 do
+            mask := !mask lor (1 lsl block.(int (Array.length block)))
+          done;
+        (it.Knapsack.pc, 1 + int 3, !mask))
+    |> List.filter (fun (_, _, mask) -> mask <> 0)
+  in
+  (items, detectors, Array.of_list (List.concat_map classes_at items))
+
+let prop_select_matches_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"Select.of_classes matches the 2^n subset enumeration"
+    ~print:(fun (seed, _) -> Printf.sprintf "instance seed %d" seed)
+    QCheck2.Gen.(pair int (list_size (int_range 1 6) (int_bound 1000)))
+    (fun (seed, permille) ->
+      let items, detectors, classes = synthetic_instance seed in
+      let s = Select.of_classes items detectors classes in
+      let front = reference_front items detectors classes in
+      let total = s.Select.t_total_value in
+      s.Select.t_front = front
+      && List.for_all
+           (fun t ->
+             let target = (t * total / 1000) + (t mod 3) - 1 in
+             let sel = Select.selection_at s ~target in
+             let got =
+               Select.
+                 (sel.sel_mask, sel.sel_dup, sel.sel_value, sel.sel_cost)
+             in
+             got = reference_selection items detectors classes front ~target)
+           permille)
+
 (* --- disabled detectors degenerate to the pure knapsack ----------------- *)
 
 let test_disabled_is_pure () =
@@ -364,6 +516,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_front_monotone;
           QCheck_alcotest.to_alcotest prop_knapsack_points_exact;
+          QCheck_alcotest.to_alcotest prop_select_matches_reference;
           Alcotest.test_case "disabled detectors = pure knapsack" `Quick
             test_disabled_is_pure;
           Alcotest.test_case "mixed never worse than pure" `Quick
